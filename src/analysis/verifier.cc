@@ -7,6 +7,7 @@
 #include "analysis/redundancy.h"
 #include "analysis/shape_inference.h"
 #include "runtime/analysis.h"
+#include "runtime/block_visitor.h"
 #include "runtime/instruction_factory.h"
 #include "runtime/fused_op.h"
 #include "runtime/instructions_misc.h"
@@ -40,64 +41,25 @@ struct VarState {
 /// Collects every variable read in a block tree — instruction inputs and
 /// predicate results, but not rmvar names (a removal is not a use). Feeds
 /// dead-instruction detection.
-void CollectReads(const std::vector<BlockPtr>& blocks,
-                  std::unordered_set<std::string>* reads);
-
-void CollectBasicReads(const BasicBlock& block,
-                       std::unordered_set<std::string>* reads) {
-  for (const auto& instruction : block.instructions()) {
-    const auto* var =
-        dynamic_cast<const VariableInstruction*>(instruction.get());
-    if (var != nullptr &&
-        var->variable_kind() == VariableInstruction::Kind::kRemove) {
-      continue;
-    }
-    for (const std::string& name : instruction->InputVars()) {
-      reads->insert(name);
-    }
+struct ReadCollector {
+  std::unordered_set<std::string>* reads;
+  void Pred(const Predicate& predicate, const std::string&) {
+    reads->insert(predicate.result_var());
   }
-}
-
-void CollectPredicateReads(const Predicate& predicate,
-                           std::unordered_set<std::string>* reads) {
-  CollectBasicReads(predicate.block(), reads);
-  reads->insert(predicate.result_var());
-}
-
-void CollectReads(const std::vector<BlockPtr>& blocks,
-                  std::unordered_set<std::string>* reads) {
-  for (const BlockPtr& block : blocks) {
-    switch (block->kind()) {
-      case BlockKind::kBasic:
-        CollectBasicReads(static_cast<const BasicBlock&>(*block), reads);
-        break;
-      case BlockKind::kIf: {
-        const auto& if_block = static_cast<const IfBlock&>(*block);
-        CollectPredicateReads(if_block.predicate(), reads);
-        CollectReads(if_block.then_blocks(), reads);
-        CollectReads(if_block.else_blocks(), reads);
-        break;
+  void Basic(const BasicBlock& block, const std::string&) {
+    for (const auto& instruction : block.instructions()) {
+      const auto* var =
+          dynamic_cast<const VariableInstruction*>(instruction.get());
+      if (var != nullptr &&
+          var->variable_kind() == VariableInstruction::Kind::kRemove) {
+        continue;
       }
-      case BlockKind::kFor:
-      case BlockKind::kParFor: {
-        const auto& for_block = static_cast<const ForBlock&>(*block);
-        CollectPredicateReads(for_block.from(), reads);
-        CollectPredicateReads(for_block.to(), reads);
-        if (!for_block.incr().result_var().empty()) {
-          CollectPredicateReads(for_block.incr(), reads);
-        }
-        CollectReads(for_block.body(), reads);
-        break;
-      }
-      case BlockKind::kWhile: {
-        const auto& while_block = static_cast<const WhileBlock&>(*block);
-        CollectPredicateReads(while_block.predicate(), reads);
-        CollectReads(while_block.body(), reads);
-        break;
+      for (const std::string& name : instruction->InputVars()) {
+        reads->insert(name);
       }
     }
   }
-}
+};
 
 class Verifier {
  public:
@@ -176,7 +138,8 @@ class Verifier {
     for (const std::string& var : defined_on_entry) state.Define(var);
 
     scope_reads_.clear();
-    CollectReads(body, &scope_reads_);
+    ReadCollector collector{&scope_reads_};
+    lima::WalkBlocks(body, Predicates::kVisit, collector);
     if (fn != nullptr) {
       for (const std::string& out : fn->outputs()) scope_reads_.insert(out);
     }

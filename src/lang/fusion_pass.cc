@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "analysis/cost_model.h"
+#include "runtime/block_visitor.h"
 #include "runtime/fused_op.h"
 #include "runtime/instructions_compute.h"
 #include "runtime/instructions_misc.h"
@@ -416,43 +417,18 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
   *instructions = std::move(rebuilt);
 }
 
-void FuseBlocks(std::vector<BlockPtr>* blocks,
-                const FusionPlanningContext* ctx, const std::string& scope,
-                const std::string& loc) {
-  for (size_t i = 0; i < blocks->size(); ++i) {
-    BlockPtr& block = (*blocks)[i];
-    const std::string block_loc = loc + "/block[" + std::to_string(i) + "]";
-    switch (block->kind()) {
-      case BlockKind::kBasic:
-        FuseBasicBlockImpl(static_cast<BasicBlock*>(block.get()), ctx, scope,
-                           block_loc);
-        break;
-      case BlockKind::kIf: {
-        auto* if_block = static_cast<IfBlock*>(block.get());
-        FuseBlocks(if_block->mutable_then_blocks(), ctx, scope,
-                   block_loc + "/then");
-        FuseBlocks(if_block->mutable_else_blocks(), ctx, scope,
-                   block_loc + "/else");
-        break;
-      }
-      case BlockKind::kFor:
-      case BlockKind::kParFor:
-        FuseBlocks(static_cast<ForBlock*>(block.get())->mutable_body(), ctx,
-                   scope, block_loc + "/body");
-        break;
-      case BlockKind::kWhile:
-        FuseBlocks(static_cast<WhileBlock*>(block.get())->mutable_body(), ctx,
-                   scope, block_loc + "/body");
-        break;
-    }
-  }
-}
-
 void ApplyFusion(Program* program, const FusionPlanningContext* ctx) {
-  FuseBlocks(program->mutable_main(), ctx, "main", "main");
-  for (const auto& [name, fn] : program->functions()) {
-    FuseBlocks(fn->mutable_body(), ctx, name, name);
-  }
+  ForEachScope(program, [ctx](std::vector<BlockPtr>& body,
+                              const std::string& scope) {
+    struct {
+      const FusionPlanningContext* ctx;
+      const std::string& scope;
+      void Basic(BasicBlock& block, const std::string& loc) {
+        FuseBasicBlockImpl(&block, ctx, scope, loc);
+      }
+    } fuser{ctx, scope};
+    WalkBlocks(body, Predicates::kSkip, fuser, scope);
+  });
 }
 
 }  // namespace

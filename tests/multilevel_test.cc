@@ -70,6 +70,41 @@ TEST(MultiLevelTest, NondeterministicFunctionsNeverReused) {
   EXPECT_EQ(session->stats()->function_reuse_hits.load(), 0);
   // And the two calls genuinely differ (fresh system seeds).
   EXPECT_NE(*session->GetDouble("a"), *session->GetDouble("b"));
+
+  // Nondeterminism that only reaches the result through control flow: an
+  // unseeded rand in an if or while predicate, or a call to a
+  // nondeterministic function from a predicate. Each function is called
+  // repeatedly with identical arguments; none of the calls may be served
+  // from the function cache.
+  for (const char* script : {
+           R"(
+    coin = function(Matrix X) return (Matrix Y) {
+      if (sum(rand(rows=1, cols=1)) > 0.5) { Y = X + 1; } else { Y = X - 1; }
+    }
+    X = matrix(1, 5, 5);
+    a = sum(coin(X)) + sum(coin(X)) + sum(coin(X)) + sum(coin(X));
+  )",
+           R"(
+    walk = function(Matrix X) return (Matrix Y) {
+      Y = X;
+      while (sum(rand(rows=1, cols=1)) > 0.5) { Y = Y + 1; }
+    }
+    X = matrix(1, 5, 5);
+    a = sum(walk(X)) + sum(walk(X)) + sum(walk(X)) + sum(walk(X));
+  )",
+           R"(
+    flip = function(Double p) return (Double b) {
+      b = sum(rand(rows=1, cols=1)) < p;
+    }
+    pick = function(Matrix X) return (Matrix Y) {
+      if (flip(0.5) == 1) { Y = X + 1; } else { Y = X - 1; }
+    }
+    X = matrix(1, 5, 5);
+    a = sum(pick(X)) + sum(pick(X)) + sum(pick(X)) + sum(pick(X));
+  )"}) {
+    auto predicated = RunMlr(script);
+    EXPECT_EQ(predicated->stats()->function_reuse_hits.load(), 0) << script;
+  }
 }
 
 TEST(MultiLevelTest, ReusedOutputsKeepFineGrainedLineage) {
