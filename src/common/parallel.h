@@ -12,6 +12,9 @@
 
 namespace lima {
 
+/// Number of hardware threads (>= 1).
+int HardwareConcurrency();
+
 /// Resolves LimaConfig::max_parallelism: 0 means "all hardware threads".
 int ResolveMaxParallelism(int configured);
 
@@ -137,10 +140,10 @@ class ParallelBudget {
 };
 
 /// Lazily-grown persistent worker pool shared by every ParallelFor and
-/// ParallelContext::Run in the process. Unlike ThreadPool it has no global
-/// barrier: each parallel call tracks its own completion, so independent
-/// callers (parfor workers, serve requests) share the threads without
-/// serializing on each other.
+/// ParallelContext::Run in the process. It has no global barrier: each
+/// parallel call tracks its own completion, so independent callers (parfor
+/// workers, serve requests) share the threads without serializing on each
+/// other.
 class WorkerPool {
  public:
   static WorkerPool& Global();
@@ -181,6 +184,16 @@ class WorkerPool {
 /// still run, and the first exception is rethrown on the calling thread
 /// after all slices finish.
 void PooledRun(int64_t n, int width, const std::function<void(int64_t)>& fn);
+
+/// Runs fn(i) for i in [0, n) across up to `num_threads` threads, blocking
+/// until all complete: contiguous slices, one per participant, on the
+/// shared pool (PooledRun). Falls back to the calling thread for n==0/1 or
+/// num_threads<=1. Nested use inside parfor workers is deadlock-free. If fn
+/// throws, the throwing thread abandons the rest of its slice, other
+/// threads finish theirs, and the first exception is rethrown on the
+/// calling thread after every slice has completed.
+void ParallelFor(int64_t n, int num_threads,
+                 const std::function<void(int64_t)>& fn);
 
 /// Per-execution-context handle to the budget, carried by ExecutionContext
 /// and threaded through matrix kernels in place of the old raw

@@ -9,9 +9,9 @@
 
 namespace lima {
 
-/// Kinds of cache events emitted by the lineage cache and the coarse-grained
-/// cache (Sec. 4.3 eviction/spilling). Probe-level granularity: one event
-/// per cache decision, not per instruction.
+/// Kinds of cache events emitted by the lineage cache (Sec. 4.3
+/// eviction/spilling). Probe-level granularity: one event per cache
+/// decision, not per instruction.
 enum class CacheEventKind {
   kHit = 0,      ///< probe found a ready value
   kMiss,         ///< probe found nothing (or claimed a placeholder)

@@ -332,7 +332,7 @@ Status LineageStoreReader::Load(const std::string& path) {
       return Corrupt(path, "record overruns segment body");
     }
     uint32_t crc = GetFixed32(buffer_.data() + off + 5 + payload_size);
-    if (Crc32(buffer_.data() + off, 5 + payload_size) != crc) {
+    if (Crc32(buffer_.data() + off, size_t{5} + payload_size) != crc) {
       return Corrupt(path, "record checksum mismatch");
     }
     std::string_view payload(buffer_.data() + off + 5, payload_size);

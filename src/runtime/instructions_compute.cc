@@ -386,6 +386,7 @@ ToStringInstruction::ToStringInstruction(Operand input, std::string output)
 Result<std::vector<DataPtr>> ToStringInstruction::Compute(
     ExecutionContext* ctx, const std::vector<DataPtr>& inputs,
     const ExecState& state) const {
+  (void)ctx;
   (void)state;
   if (inputs[0]->type() == DataType::kScalar) {
     LIMA_ASSIGN_OR_RETURN(ScalarValue v, AsScalar(inputs[0]));

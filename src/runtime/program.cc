@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/parallel.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace lima {

@@ -10,41 +10,55 @@
 
 namespace lima {
 
+/// The runtime counter table: X(field, short name). `field` is the
+/// RuntimeStats member and its full name in ToPairs() (the profile report
+/// embeds those names verbatim); `short name` labels it in ToString().
+/// Adding a counter is one line here.
+///
+/// Parallelism-budget arbitration (common/parallel.h): budget_grants counts
+/// kernel/parfor lease requests that got at least one extra thread,
+/// budget_denials requests denied outright (budget exhausted or fair
+/// share = 1), budget_lease_waits serve admissions that had to wait for a
+/// free run slot. grants + denials ≈ the number of parallel-eligible kernel
+/// calls; a high denial or wait count means the workload oversubscribes
+/// max_parallelism.
+#define LIMA_RUNTIME_COUNTERS(X)                      \
+  X(instructions_executed, "instructions")            \
+  X(lineage_items_created, "lineage_items")           \
+  X(cache_probes, "probes")                           \
+  X(cache_hits, "hits")                               \
+  X(cache_misses, "misses")                           \
+  X(partial_reuse_hits, "partial")                    \
+  X(probe_disabled_static, "probe_disabled_static")   \
+  X(function_reuse_hits, "fn_hits")                   \
+  X(block_reuse_hits, "blk_hits")                     \
+  X(placeholder_waits, "waits")                       \
+  X(placeholder_steals, "steals")                     \
+  X(evictions, "evictions")                           \
+  X(spills, "spills")                                 \
+  X(restores, "restores")                             \
+  X(dedup_patches_created, "dedup_patches")           \
+  X(dedup_items_created, "dedup_items")               \
+  X(parfor_serialized, "parfor_serialized")           \
+  X(inplace_ops, "inplace_ops")                       \
+  X(budget_grants, "budget_grants")                   \
+  X(budget_denials, "budget_denials")                 \
+  X(budget_lease_waits, "budget_lease_waits")         \
+  X(peak_live_bytes, "peak_live_bytes")               \
+  X(rewrite_nanos, "rewrite_nanos")                   \
+  X(spill_nanos, "spill_nanos")                       \
+  X(compute_saved_nanos, "compute_saved_nanos")
+
 /// Process-wide runtime counters (Sec. 5.1 "LIMA collects various runtime
 /// statistics"). Atomic so parfor workers can update concurrently.
 struct RuntimeStats {
-  std::atomic<int64_t> instructions_executed{0};
-  std::atomic<int64_t> lineage_items_created{0};
-  std::atomic<int64_t> cache_probes{0};
-  std::atomic<int64_t> cache_hits{0};
-  std::atomic<int64_t> cache_misses{0};
-  std::atomic<int64_t> partial_reuse_hits{0};
-  std::atomic<int64_t> probe_disabled_static{0};
-  std::atomic<int64_t> function_reuse_hits{0};
-  std::atomic<int64_t> block_reuse_hits{0};
-  std::atomic<int64_t> placeholder_waits{0};
-  std::atomic<int64_t> placeholder_steals{0};
-  std::atomic<int64_t> evictions{0};
-  std::atomic<int64_t> spills{0};
-  std::atomic<int64_t> restores{0};
-  std::atomic<int64_t> dedup_patches_created{0};
-  std::atomic<int64_t> dedup_items_created{0};
-  std::atomic<int64_t> parfor_serialized{0};
-  std::atomic<int64_t> inplace_ops{0};
-  /// Parallelism-budget arbitration (common/parallel.h): kernel/parfor
-  /// lease requests that got at least one extra thread, requests denied
-  /// outright (budget exhausted or fair share = 1), and serve admissions
-  /// that had to wait for a free run slot. grants + denials ≈ the number of
-  /// parallel-eligible kernel calls; a high denial or wait count means the
-  /// workload oversubscribes max_parallelism.
-  std::atomic<int64_t> budget_grants{0};
-  std::atomic<int64_t> budget_denials{0};
-  std::atomic<int64_t> budget_lease_waits{0};
+#define LIMA_COUNTER_FIELD(field, short_name) std::atomic<int64_t> field{0};
+  LIMA_RUNTIME_COUNTERS(LIMA_COUNTER_FIELD)
+#undef LIMA_COUNTER_FIELD
+
+  /// Live symbol-table bytes: a gauge, not a counter, so it is not
+  /// exported; peak_live_bytes is its high-water mark.
   std::atomic<int64_t> live_bytes{0};
-  std::atomic<int64_t> peak_live_bytes{0};
-  std::atomic<int64_t> rewrite_nanos{0};
-  std::atomic<int64_t> spill_nanos{0};
-  std::atomic<int64_t> compute_saved_nanos{0};
 
   /// Adjusts the live symbol-table byte count (delta may be negative) and
   /// maintains the high-water mark. Used to cross-check the static memory
@@ -58,91 +72,30 @@ struct RuntimeStats {
   }
 
   void Reset() {
-    instructions_executed = 0;
-    lineage_items_created = 0;
-    cache_probes = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    partial_reuse_hits = 0;
-    probe_disabled_static = 0;
-    function_reuse_hits = 0;
-    block_reuse_hits = 0;
-    placeholder_waits = 0;
-    placeholder_steals = 0;
-    evictions = 0;
-    spills = 0;
-    restores = 0;
-    dedup_patches_created = 0;
-    dedup_items_created = 0;
-    parfor_serialized = 0;
-    inplace_ops = 0;
-    budget_grants = 0;
-    budget_denials = 0;
-    budget_lease_waits = 0;
+#define LIMA_COUNTER_RESET(field, short_name) field = 0;
+    LIMA_RUNTIME_COUNTERS(LIMA_COUNTER_RESET)
+#undef LIMA_COUNTER_RESET
     live_bytes = 0;
-    peak_live_bytes = 0;
-    rewrite_nanos = 0;
-    spill_nanos = 0;
-    compute_saved_nanos = 0;
   }
 
-  /// Snapshot of every counter with its full name, in declaration order
-  /// (the profile report embeds this verbatim).
+  /// Snapshot of every counter with its full name, in table order (the
+  /// profile report embeds this verbatim).
   std::vector<std::pair<std::string, int64_t>> ToPairs() const {
     return {
-        {"instructions_executed", instructions_executed.load()},
-        {"lineage_items_created", lineage_items_created.load()},
-        {"cache_probes", cache_probes.load()},
-        {"cache_hits", cache_hits.load()},
-        {"cache_misses", cache_misses.load()},
-        {"partial_reuse_hits", partial_reuse_hits.load()},
-        {"probe_disabled_static", probe_disabled_static.load()},
-        {"function_reuse_hits", function_reuse_hits.load()},
-        {"block_reuse_hits", block_reuse_hits.load()},
-        {"placeholder_waits", placeholder_waits.load()},
-        {"placeholder_steals", placeholder_steals.load()},
-        {"evictions", evictions.load()},
-        {"spills", spills.load()},
-        {"restores", restores.load()},
-        {"dedup_patches_created", dedup_patches_created.load()},
-        {"dedup_items_created", dedup_items_created.load()},
-        {"parfor_serialized", parfor_serialized.load()},
-        {"inplace_ops", inplace_ops.load()},
-        {"budget_grants", budget_grants.load()},
-        {"budget_denials", budget_denials.load()},
-        {"budget_lease_waits", budget_lease_waits.load()},
-        {"peak_live_bytes", peak_live_bytes.load()},
-        {"rewrite_nanos", rewrite_nanos.load()},
-        {"spill_nanos", spill_nanos.load()},
-        {"compute_saved_nanos", compute_saved_nanos.load()},
+#define LIMA_COUNTER_PAIR(field, short_name) {#field, field.load()},
+        LIMA_RUNTIME_COUNTERS(LIMA_COUNTER_PAIR)
+#undef LIMA_COUNTER_PAIR
     };
   }
 
   std::string ToString() const {
     std::ostringstream out;
-    out << "instructions=" << instructions_executed.load()
-        << " lineage_items=" << lineage_items_created.load()
-        << " probes=" << cache_probes.load() << " hits=" << cache_hits.load()
-        << " misses=" << cache_misses.load()
-        << " partial=" << partial_reuse_hits.load()
-        << " probe_disabled_static=" << probe_disabled_static.load()
-        << " fn_hits=" << function_reuse_hits.load()
-        << " blk_hits=" << block_reuse_hits.load()
-        << " waits=" << placeholder_waits.load()
-        << " steals=" << placeholder_steals.load()
-        << " evictions=" << evictions.load() << " spills=" << spills.load()
-        << " restores=" << restores.load()
-        << " dedup_patches=" << dedup_patches_created.load()
-        << " dedup_items=" << dedup_items_created.load()
-        << " parfor_serialized=" << parfor_serialized.load()
-        << " inplace_ops=" << inplace_ops.load()
-        << " budget_grants=" << budget_grants.load()
-        << " budget_denials=" << budget_denials.load()
-        << " budget_lease_waits=" << budget_lease_waits.load()
-        << " peak_live_bytes=" << peak_live_bytes.load()
-        << " rewrite_nanos=" << rewrite_nanos.load()
-        << " spill_nanos=" << spill_nanos.load()
-        << " compute_saved_nanos=" << compute_saved_nanos.load();
+    const char* separator = "";
+#define LIMA_COUNTER_TEXT(field, short_name)                    \
+  out << separator << short_name << "=" << field.load();        \
+  separator = " ";
+    LIMA_RUNTIME_COUNTERS(LIMA_COUNTER_TEXT)
+#undef LIMA_COUNTER_TEXT
     return out.str();
   }
 };

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -10,7 +9,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace lima {
 namespace {
@@ -186,40 +184,6 @@ TEST(RngTest, ResetSystemSeedCounterReplays) {
   ResetSystemSeedCounter(123);
   uint64_t b = NextSystemSeed();
   EXPECT_EQ(a, b);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitAll();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitAllIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitAll();
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitAll();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ParallelForTest, CoversRangeExactlyOnce) {
-  std::vector<std::atomic<int>> touched(1000);
-  ParallelFor(1000, 4, [&](int64_t i) { touched[i].fetch_add(1); });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
-TEST(ParallelForTest, HandlesEmptyAndSingle) {
-  int count = 0;
-  ParallelFor(0, 4, [&](int64_t) { ++count; });
-  EXPECT_EQ(count, 0);
-  ParallelFor(1, 4, [&](int64_t) { ++count; });
-  EXPECT_EQ(count, 1);
 }
 
 TEST(ConfigTest, Presets) {

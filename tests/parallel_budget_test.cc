@@ -320,5 +320,68 @@ TEST(ParallelBudgetTest, PooledRunCompletesWithEmptyPoolAndNests) {
   EXPECT_EQ(total.load(), expected);
 }
 
+// ParallelFor: contiguous slices of [0, n) on the shared pool.
+
+TEST(ParallelBudgetTest, ParallelForCoversRangeExactlyOnce) {
+  std::vector<std::atomic<int>> touched(1000);
+  ParallelFor(1000, 4, [&](int64_t i) { touched[i].fetch_add(1); });
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+}
+
+TEST(ParallelBudgetTest, ParallelForHandlesEmptyAndSingle) {
+  int count = 0;
+  ParallelFor(0, 4, [&](int64_t) { ++count; });
+  EXPECT_EQ(count, 0);
+  ParallelFor(1, 4, [&](int64_t) { ++count; });
+  EXPECT_EQ(count, 1);
+}
+
+TEST(ParallelBudgetTest, ParallelForPropagatesFirstException) {
+  std::atomic<int> visited{0};
+  try {
+    ParallelFor(100, 4, [&visited](int64_t i) {
+      if (i == 37) throw std::runtime_error("index 37");
+      visited.fetch_add(1);
+    });
+    FAIL() << "expected ParallelFor to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 37");
+  }
+  // Every index other than the throwing one still ran: a throw aborts only
+  // its own chunk's remainder, and chunks are per-thread slices.
+  EXPECT_GE(visited.load(), 75);
+}
+
+TEST(ParallelBudgetTest, ParallelForSequentialFallbackPropagates) {
+  EXPECT_THROW(
+      ParallelFor(4, 1,
+                  [](int64_t i) {
+                    if (i == 2) throw std::runtime_error("boom");
+                  }),
+      std::runtime_error);
+}
+
+// Nested ParallelFor (a parfor body invoking a threaded kernel) must not
+// deadlock or cross-deliver exceptions between nesting levels.
+TEST(ParallelBudgetTest, NestedParallelFor) {
+  std::atomic<int> inner_total{0};
+  ParallelFor(4, 4, [&inner_total](int64_t) {
+    ParallelFor(8, 2, [&inner_total](int64_t) { inner_total.fetch_add(1); });
+  });
+  EXPECT_EQ(inner_total.load(), 32);
+
+  std::atomic<int> outer_caught{0};
+  ParallelFor(4, 4, [&outer_caught](int64_t) {
+    try {
+      ParallelFor(8, 2, [](int64_t j) {
+        if (j == 3) throw std::runtime_error("inner");
+      });
+    } catch (const std::runtime_error&) {
+      outer_caught.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(outer_caught.load(), 4);
+}
+
 }  // namespace
 }  // namespace lima

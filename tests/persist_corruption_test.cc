@@ -113,7 +113,7 @@ bool RestampChecksums(std::string* bytes) {
     if (records_end - off < kRecordOverhead) return false;
     uint32_t payload_size = GetFixed32(bytes->data() + off + 1);
     if (payload_size > records_end - off - kRecordOverhead) return false;
-    uint32_t crc = Crc32(bytes->data() + off, 5 + payload_size);
+    uint32_t crc = Crc32(bytes->data() + off, size_t{5} + payload_size);
     std::string fixed;
     PutFixed32(&fixed, crc);
     bytes->replace(off + 5 + payload_size, 4, fixed);

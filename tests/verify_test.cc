@@ -38,14 +38,6 @@ bool HasDiagnostic(const VerifyReport& report, const std::string& code) {
   return false;
 }
 
-int CountDiagnostic(const VerifyReport& report, const std::string& code) {
-  int count = 0;
-  for (const Diagnostic& diag : report.diagnostics) {
-    if (diag.code == code) ++count;
-  }
-  return count;
-}
-
 // ---- Clean programs -------------------------------------------------------
 
 TEST(VerifyTest, CleanStraightLineProgram) {
