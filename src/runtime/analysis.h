@@ -25,7 +25,8 @@ BodyVars AnalyzeBodyVars(const std::vector<BlockPtr>& blocks);
 ///    loops without function calls and with at most 20 branches; branch IDs
 ///    assigned in depth-first order; body inputs/outputs),
 ///  - computes function determinism (no nondeterministic operations or
-///    eval, and only deterministic callees) for multi-level reuse.
+///    eval, predicates included, and only deterministic callees) for
+///    multi-level reuse.
 void AnalyzeProgram(Program* program);
 
 }  // namespace lima
