@@ -9,6 +9,8 @@
 //   - every kRestore follows a kSpill of the same key,
 //   - per shard, hits + misses == probes, and the totals match the number
 //     of Probe() calls issued.
+// The tenant cases replay the same op mix under three tenant scopes, one
+// of them budgeted, and check the tenant accounting (RunTenantOps).
 #include <unistd.h>
 
 #include <filesystem>
@@ -193,6 +195,154 @@ void RunRandomOps(int shards, EvictionPolicy policy, bool spilling,
   EXPECT_TRUE(std::filesystem::is_empty(spill_dir))
       << "orphan spill files left behind";
   std::filesystem::remove_all(spill_dir);
+}
+
+/// Tenant variant: every op runs under one of three TenantScopes and
+/// "alice" has a small tenant budget. After every op
+///   - alice's resident bytes are within her budget, plus whatever was
+///     restored for her since her last put (a restore charges the owning
+///     tenant but runs only the global pass; her next put runs her
+///     tenant pass),
+///   - the tenants' resident bytes sum to SizeInBytes(),
+///   - per tenant, hits + misses == probes == the Probe() calls it issued.
+/// With the global budget above the working set only the tenant pass
+/// evicts, so every kEvict must name a key alice owns.
+void RunTenantOps(int shards, bool spilling, int64_t global_budget,
+                  uint64_t seed) {
+  constexpr int kOps = 2500;
+  constexpr int kNumKeys = 40;
+  constexpr int64_t kTenantBudget = 1200;
+  const std::vector<std::string> tenants = {"alice", "bob", "carol"};
+  const std::string spill_dir =
+      MakeSpillDir("t" + std::to_string(shards) + "_" + std::to_string(seed));
+
+  LimaConfig config = LimaConfig::Lima();
+  config.cache_budget_bytes = global_budget;
+  config.cache_shards = shards;
+  config.enable_spilling = spilling;
+  config.spill_dir = spill_dir;
+
+  RuntimeStats stats;
+  CacheEventLog events;
+  {
+    LineageCache cache(config, &stats);
+    cache.set_event_log(&events);
+    cache.SetTenantBudget("alice", kTenantBudget);
+
+    std::vector<LineageItemPtr> keys;
+    std::vector<int64_t> rows;
+    std::vector<double> computes;
+    std::unordered_map<uint64_t, int64_t> size_of;
+    int64_t working_set = 0;
+    for (int i = 0; i < kNumKeys; ++i) {
+      keys.push_back(Key("t" + std::to_string(i)));
+      rows.push_back(1 + (i * i) % 60);
+      computes.push_back(i % 2 == 0 ? 50.0 : 0.0);
+      size_of[keys.back()->hash()] =
+          rows.back() * static_cast<int64_t>(sizeof(double));
+      working_set += size_of[keys.back()->hash()];
+    }
+    const bool only_tenant_evicts = global_budget > working_set;
+
+    ShadowModel shadow;
+    Rng rng(seed);
+    std::unordered_map<uint64_t, std::string> owner;
+    std::unordered_map<std::string, int64_t> my_probes;
+    int64_t alice_restored = 0;  // bytes restored for alice since her put
+    for (int op = 0; op < kOps; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const std::string& tenant = tenants[rng.NextBounded(tenants.size())];
+      LineageCache::TenantScope scope(&cache, tenant);
+      size_t i = rng.NextBounded(kNumKeys);
+      const LineageItemPtr& key = keys[i];
+      uint64_t kind = rng.NextBounded(100);
+      bool cleared = false;
+      if (kind < 45) {
+        ++my_probes[tenant];
+        cache.Probe(key, /*claim=*/false);
+      } else if (kind < 85) {
+        ++my_probes[tenant];
+        ReuseCache::ProbeResult r = cache.Probe(key, /*claim=*/true);
+        if (r.kind == ReuseCache::ProbeKind::kClaimed) {
+          if (rng.NextBounded(10) == 0) {
+            cache.Abort(key);
+          } else {
+            cache.Put(key, Value(rows[i]), computes[i]);
+            owner[key->hash()] = tenant;
+            if (tenant == "alice") alice_restored = 0;
+            if (shadow.spilled.count(key->hash()) == 0) {
+              shadow.resident.insert(key->hash());
+            }
+          }
+        }
+      } else if (kind < 95) {
+        cache.Peek(key);
+      } else if (kind < 99) {
+        cache.Contains(key);
+      } else if (rng.NextBounded(5) == 0) {
+        cache.Clear();
+        cleared = true;
+      }
+
+      CacheEventLog::Snapshot snap = events.TakeSnapshot();
+      for (const CacheEventLog::Event& e : snap.recent) {
+        if (e.seq <= shadow.last_seq) continue;
+        if (e.kind == CacheEventKind::kEvict && only_tenant_evicts) {
+          ASSERT_EQ(owner[e.key_hash], "alice")
+              << "eviction of a key outside the budgeted tenant";
+        }
+        if (e.kind == CacheEventKind::kRestore && owner[e.key_hash] == "alice") {
+          alice_restored += size_of.at(e.key_hash);
+        }
+      }
+      shadow.Apply(snap);
+      if (cleared) {
+        shadow.resident.clear();
+        shadow.spilled.clear();
+        alice_restored = 0;
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+
+      int64_t tenant_bytes = 0;
+      for (const CacheTenantStats& t : cache.TenantStatsSnapshot()) {
+        SCOPED_TRACE("tenant " + t.tenant);
+        tenant_bytes += t.resident_bytes;
+        ASSERT_EQ(t.hits + t.misses, t.probes);
+        ASSERT_EQ(t.probes, my_probes[t.tenant]);
+        if (t.tenant == "alice") {
+          ASSERT_EQ(t.budget_bytes, kTenantBudget);
+          ASSERT_LE(t.resident_bytes, kTenantBudget + alice_restored);
+        }
+      }
+      ASSERT_EQ(tenant_bytes, cache.SizeInBytes());
+      ASSERT_LE(cache.SizeInBytes(), global_budget);
+    }
+
+    std::vector<CacheTenantStats> rows_out = cache.TenantStatsSnapshot();
+    ASSERT_EQ(rows_out.size(), 3u);
+    EXPECT_GT(rows_out[0].evictions, 0) << "alice's budget never evicted";
+    if (only_tenant_evicts) {
+      EXPECT_EQ(rows_out[1].evictions + rows_out[2].evictions, 0);
+    }
+    if (spilling) {
+      EXPECT_GT(stats.spills.load(), 0) << "op mix never triggered a spill";
+    }
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(spill_dir))
+      << "orphan spill files left behind";
+  std::filesystem::remove_all(spill_dir);
+}
+
+TEST(CachePropertyTest, TenantBudgetWithSpilling) {
+  RunTenantOps(4, /*spilling=*/true, int64_t{1} << 20, 77);
+}
+
+TEST(CachePropertyTest, TenantBudgetNoSpilling) {
+  RunTenantOps(8, /*spilling=*/false, int64_t{1} << 20, 88);
+}
+
+TEST(CachePropertyTest, TenantBudgetUnderGlobalPressure) {
+  RunTenantOps(16, /*spilling=*/true, 2400, 99);
 }
 
 TEST(CachePropertyTest, RandomOpsSingleShardLru) {

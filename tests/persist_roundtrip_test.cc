@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -16,6 +18,8 @@
 #include "lang/session.h"
 #include "lineage/serialize.h"
 #include "persist/lineage_store.h"
+#include "persist/snapshot.h"
+#include "reuse/lineage_cache.h"
 #include "runtime/reconstruct.h"
 
 namespace lima {
@@ -304,6 +308,146 @@ TEST(PersistRoundtripExtrasTest, CompressedSegmentsAreSmaller) {
   LineageStoreWriter compressed;
   compressed.AppendLineage("out", root);
   EXPECT_LT(compressed.SizeBytes(), plain.SizeBytes());
+}
+
+/// Cache warm start round trip: a cache with two tenants (alice budgeted,
+/// so her evictions leave ghosts and spill one matrix), resident matrices,
+/// a scalar and an unowned entry goes through SaveCacheSnapshot ->
+/// LoadCacheSnapshot into a fresh cache. Entry metadata, ghost refs and
+/// tenant rows must come back equal, and the values bitwise equal.
+TEST(PersistRoundtripExtrasTest, CacheSnapshotRoundTripsTenantsAndGhosts) {
+  const std::string dir = TempDir("snapshot");
+  const std::string store = dir + "/store";
+  LimaConfig config = LimaConfig::Lima();
+  config.cache_shards = 4;
+  config.eviction_policy = EvictionPolicy::kCostSize;
+  config.enable_spilling = true;
+  config.spill_dir = dir + "/spill";
+  std::filesystem::create_directories(config.spill_dir);
+
+  auto key = [](const std::string& name) {
+    return LineageItem::Create("read", {}, name);
+  };
+  auto matrix = [](int64_t seed) {
+    Matrix m(8, 1);
+    for (int64_t i = 0; i < 8; ++i) {
+      m.mutable_data()[i] = (static_cast<double>(seed) + 0.1) / (i + 3.0);
+    }
+    return MakeMatrixData(std::move(m));
+  };
+  constexpr int64_t kMatrixBytes = 8 * sizeof(double);
+
+  LineageCache source(config);
+  source.SetTenantBudget("alice", 2 * kMatrixBytes);
+  {
+    // a1 is free to recompute and is dropped; of the rest, the cheapest
+    // (a0) spills once a3 pushes alice over her two-matrix budget.
+    LineageCache::TenantScope scope(&source, "alice");
+    source.Put(key("a0"), matrix(0), 10.0);
+    source.Put(key("a1"), matrix(1), 0.0);
+    source.Put(key("a2"), matrix(2), 20.0);
+    source.Put(key("a3"), matrix(3), 30.0);
+  }
+  {
+    LineageCache::TenantScope scope(&source, "bob");
+    source.Put(key("b0"), matrix(4), 5.0);
+    source.Put(key("s0"), MakeScalarData(ScalarValue::Double(3.25)), 1.0);
+    EXPECT_EQ(source.Probe(key("a2"), /*claim=*/false).kind,
+              ReuseCache::ProbeKind::kHit);
+    EXPECT_EQ(source.Probe(key("zz"), /*claim=*/false).kind,
+              ReuseCache::ProbeKind::kMiss);
+  }
+  source.Put(key("u0"), matrix(5), 2.0);  // outside any tenant scope
+
+  const auto before = source.ExportSnapshot();
+  ASSERT_FALSE(before.ghost_refs.empty());
+  int64_t spilled = 0;
+  for (const auto& row : before.entries) spilled += row.value == nullptr;
+  ASSERT_EQ(spilled, 1);
+
+  Result<SnapshotStats> saved = SaveCacheSnapshot(&source, store);
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  EXPECT_EQ(saved->entries, source.NumEntries());
+  EXPECT_EQ(saved->skipped, 0);
+
+  LineageCache restored(config);
+  WarmStartReport report = LoadCacheSnapshot(&restored, store);
+  ASSERT_TRUE(report.warm) << report.Summary();
+  EXPECT_EQ(report.entries, source.NumEntries());
+  EXPECT_EQ(report.skipped, 0);
+
+  // Entry metadata and ghost history, before any access touches them.
+  const auto after = restored.ExportSnapshot();
+  ASSERT_EQ(after.entries.size(), before.entries.size());
+  for (const auto& want : before.entries) {
+    SCOPED_TRACE(want.key->data());
+    auto got = std::find_if(
+        after.entries.begin(), after.entries.end(),
+        [&](const auto& row) { return LineageEquals(row.key, want.key); });
+    ASSERT_NE(got, after.entries.end());
+    EXPECT_EQ(got->size_bytes, want.size_bytes);
+    EXPECT_EQ(got->compute_seconds, want.compute_seconds);
+    EXPECT_EQ(got->refs, want.refs);
+    EXPECT_EQ(got->last_access, want.last_access);
+    EXPECT_EQ(got->height, want.height);
+    EXPECT_EQ(got->tenant, want.tenant);
+  }
+  auto sorted = [](std::vector<std::pair<uint64_t, int64_t>> ghosts) {
+    std::sort(ghosts.begin(), ghosts.end());
+    return ghosts;
+  };
+  EXPECT_EQ(sorted(after.ghost_refs), sorted(before.ghost_refs));
+
+  // Matrices come back spilled; restoring the ones the source holds in
+  // memory must reproduce its tenant rows exactly.
+  for (const auto& row : before.entries) {
+    if (row.value != nullptr) ASSERT_NE(restored.Peek(row.key), nullptr);
+  }
+  auto expect_same_tenants = [&] {
+    std::vector<CacheTenantStats> want = source.TenantStatsSnapshot();
+    std::vector<CacheTenantStats> got = restored.TenantStatsSnapshot();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(want[i].tenant);
+      EXPECT_EQ(got[i].tenant, want[i].tenant);
+      EXPECT_EQ(got[i].budget_bytes, want[i].budget_bytes);
+      EXPECT_EQ(got[i].resident_bytes, want[i].resident_bytes);
+      EXPECT_EQ(got[i].entries, want[i].entries);
+      EXPECT_EQ(got[i].probes, want[i].probes);
+      EXPECT_EQ(got[i].hits, want[i].hits);
+      EXPECT_EQ(got[i].misses, want[i].misses);
+      EXPECT_EQ(got[i].cross_tenant_hits, want[i].cross_tenant_hits);
+      EXPECT_EQ(got[i].puts, want[i].puts);
+      EXPECT_EQ(got[i].evictions, want[i].evictions);
+    }
+  };
+  expect_same_tenants();
+  ASSERT_EQ(source.TenantStatsSnapshot().size(), 2u);
+  EXPECT_GT(source.TenantStatsSnapshot()[0].evictions, 0);
+
+  // Values, bitwise, with the spilled matrix restored on both sides.
+  for (const auto& row : before.entries) {
+    SCOPED_TRACE(row.key->data());
+    DataPtr want = source.Peek(row.key);
+    DataPtr got = restored.Peek(row.key);
+    ASSERT_NE(want, nullptr);
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(got->type(), want->type());
+    if (want->type() == DataType::kScalar) {
+      EXPECT_EQ(static_cast<const ScalarData*>(got.get())->value().AsDouble(),
+                static_cast<const ScalarData*>(want.get())->value().AsDouble());
+      continue;
+    }
+    const Matrix& a = *static_cast<const MatrixData*>(want.get())->matrix();
+    const Matrix& b = *static_cast<const MatrixData*>(got.get())->matrix();
+    ASSERT_EQ(b.rows(), a.rows());
+    ASSERT_EQ(b.cols(), a.cols());
+    EXPECT_EQ(std::memcmp(b.data(), a.data(), a.SizeInBytes()), 0);
+  }
+  expect_same_tenants();
+  source.Clear();
+  restored.Clear();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
