@@ -201,38 +201,11 @@ lima::ProfileReport LimaSession::ProfileReport() const {
   };
   std::vector<lima::ProfileReport::ShardRow> shard_rows;
   for (const CacheShardStats& s : cache_->ShardStatsSnapshot()) {
-    lima::ProfileReport::ShardRow row;
-    row.shard = s.shard;
-    row.counters = {
-        {"entries", s.entries},
-        {"resident_bytes", s.resident_bytes},
-        {"probes", s.probes},
-        {"hits", s.hits},
-        {"misses", s.misses},
-        {"placeholder_waits", s.placeholder_waits},
-        {"placeholder_steals", s.placeholder_steals},
-        {"evictions", s.evictions},
-        {"spills", s.spills},
-        {"restores", s.restores},
-    };
-    shard_rows.push_back(std::move(row));
+    shard_rows.push_back({s.shard, s.ToPairs()});
   }
   std::vector<lima::ProfileReport::TenantRow> tenant_rows;
   for (const CacheTenantStats& t : cache_->TenantStatsSnapshot()) {
-    lima::ProfileReport::TenantRow row;
-    row.tenant = t.tenant;
-    row.counters = {
-        {"budget_bytes", t.budget_bytes},
-        {"resident_bytes", t.resident_bytes},
-        {"entries", t.entries},
-        {"probes", t.probes},
-        {"hits", t.hits},
-        {"misses", t.misses},
-        {"cross_tenant_hits", t.cross_tenant_hits},
-        {"puts", t.puts},
-        {"evictions", t.evictions},
-    };
-    tenant_rows.push_back(std::move(row));
+    tenant_rows.push_back({t.tenant, t.ToPairs()});
   }
   std::vector<std::pair<std::string, int64_t>> static_plan;
   if (config_.redundancy_check) {

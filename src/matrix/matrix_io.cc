@@ -1,6 +1,7 @@
 #include "matrix/matrix_io.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -8,28 +9,99 @@
 
 namespace lima {
 
+namespace {
+
+std::string Header(const Matrix& matrix) {
+  const int64_t rows = matrix.rows();
+  const int64_t cols = matrix.cols();
+  std::string header(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  header.append(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  return header;
+}
+
+/// Reads the header of an opened binary matrix file, bounded by the payload
+/// the file holds before anything is allocated: cols is checked against
+/// cells / rows first, so a hostile header cannot overflow the product.
+Result<std::pair<int64_t, int64_t>> ReadHeader(std::ifstream* in,
+                                               const std::string& path) {
+  if (!*in) return Status::IoError("cannot open for read: " + path);
+  const int64_t cells =
+      (static_cast<int64_t>(in->seekg(0, std::ios::end).tellg()) -
+       MatrixFileBytes(0)) /
+      static_cast<int64_t>(sizeof(double));
+  int64_t rows = 0;
+  int64_t cols = 0;
+  in->seekg(0).read(reinterpret_cast<char*>(&rows), sizeof(rows));
+  in->read(reinterpret_cast<char*>(&cols), sizeof(cols));
+  if (!*in || rows < 0 || cols < 0 || (rows > 0 && cols > cells / rows)) {
+    return Status::IoError("corrupt matrix header: " + path);
+  }
+  return std::make_pair(rows, cols);
+}
+
+/// Scans a rectangular CSV of doubles, parsing the fields into `values`
+/// unless it is null (a dims-only scan).
+Result<std::pair<int64_t, int64_t>> ScanCsv(const std::string& path,
+                                            std::vector<double>* values) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open for read: " + path);
+  int64_t rows = 0;
+  int64_t cols = -1;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (StripWhitespace(line).empty()) continue;
+    std::vector<std::string> fields = Split(line, ',');
+    if (cols < 0) {
+      cols = static_cast<int64_t>(fields.size());
+    } else if (static_cast<int64_t>(fields.size()) != cols) {
+      return Status::IoError("ragged CSV row in " + path);
+    }
+    for (size_t i = 0; values != nullptr && i < fields.size(); ++i) {
+      char* end = nullptr;
+      values->push_back(std::strtod(fields[i].c_str(), &end));
+      if (end == fields[i].c_str()) {
+        return Status::IoError("non-numeric CSV field '" + fields[i] +
+                               "' in " + path);
+      }
+    }
+    ++rows;
+  }
+  if (rows == 0) return Status::IoError("empty CSV: " + path);
+  return std::make_pair(rows, cols);
+}
+
+}  // namespace
+
+std::string EncodeMatrixFile(const Matrix& matrix) {
+  std::string bytes = Header(matrix);
+  bytes.append(reinterpret_cast<const char*>(matrix.data()),
+               static_cast<size_t>(matrix.SizeInBytes()));
+  return bytes;
+}
+
 Status WriteMatrixFile(const std::string& path, const Matrix& matrix) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open for write: " + path);
-  int64_t rows = matrix.rows();
-  int64_t cols = matrix.cols();
-  out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  out.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  const std::string header = Header(matrix);
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
   out.write(reinterpret_cast<const char*>(matrix.data()),
             matrix.SizeInBytes());
   out.close();
-  if (!out) return Status::IoError("short write: " + path);
+  if (!out) {
+    std::error_code ec;  // a failed write leaves no file behind
+    std::filesystem::remove(path, ec);
+    return Status::IoError("short write: " + path);
+  }
   return Status::OK();
 }
 
-Result<Matrix> ReadMatrixFile(const std::string& path) {
+Result<Matrix> ReadMatrixFile(const std::string& path,
+                              int64_t expected_bytes) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  int64_t rows = 0;
-  int64_t cols = 0;
-  in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!in || rows < 0 || cols < 0 || rows * cols > (int64_t{1} << 34)) {
+  LIMA_ASSIGN_OR_RETURN(auto dims, ReadHeader(&in, path));
+  const auto [rows, cols] = dims;
+  if (expected_bytes >= 0 &&
+      rows * cols != expected_bytes / static_cast<int64_t>(sizeof(double))) {
     return Status::IoError("corrupt matrix header: " + path);
   }
   Matrix matrix(rows, cols);
@@ -57,64 +129,17 @@ Status WriteMatrixCsv(const std::string& path, const Matrix& matrix) {
 }
 
 Result<Matrix> ReadMatrixCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for read: " + path);
   std::vector<double> values;
-  int64_t rows = 0;
-  int64_t cols = -1;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (StripWhitespace(line).empty()) continue;
-    std::vector<std::string> fields = Split(line, ',');
-    if (cols < 0) {
-      cols = static_cast<int64_t>(fields.size());
-    } else if (static_cast<int64_t>(fields.size()) != cols) {
-      return Status::IoError("ragged CSV row in " + path);
-    }
-    for (const std::string& field : fields) {
-      char* end = nullptr;
-      values.push_back(std::strtod(field.c_str(), &end));
-      if (end == field.c_str()) {
-        return Status::IoError("non-numeric CSV field '" + field + "' in " +
-                               path);
-      }
-    }
-    ++rows;
-  }
-  if (rows == 0) return Status::IoError("empty CSV: " + path);
-  return Matrix(rows, cols, std::move(values));
+  LIMA_ASSIGN_OR_RETURN(auto dims, ScanCsv(path, &values));
+  return Matrix(dims.first, dims.second, std::move(values));
 }
 
 Result<std::pair<int64_t, int64_t>> PeekMatrixDims(const std::string& path) {
   if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
-    std::ifstream in(path);
-    if (!in) return Status::IoError("cannot open for read: " + path);
-    int64_t rows = 0;
-    int64_t cols = -1;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (StripWhitespace(line).empty()) continue;
-      int64_t fields = static_cast<int64_t>(Split(line, ',').size());
-      if (cols < 0) {
-        cols = fields;
-      } else if (fields != cols) {
-        return Status::IoError("ragged CSV row in " + path);
-      }
-      ++rows;
-    }
-    if (rows == 0) return Status::IoError("empty CSV: " + path);
-    return std::make_pair(rows, cols);
+    return ScanCsv(path, /*values=*/nullptr);
   }
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for read: " + path);
-  int64_t rows = 0;
-  int64_t cols = 0;
-  in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!in || rows < 0 || cols < 0 || rows * cols > (int64_t{1} << 34)) {
-    return Status::IoError("corrupt matrix header: " + path);
-  }
-  return std::make_pair(rows, cols);
+  return ReadHeader(&in, path);
 }
 
 }  // namespace lima

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace lima {
 
@@ -80,13 +81,20 @@ std::string HumanMillis(int64_t nanos) {
   return buf;
 }
 
-}  // namespace
-
-int64_t ProfileReport::Counter(const std::string& name) const {
+/// A counter by name in a list of named counters (0 when absent).
+int64_t FindCounter(
+    const std::vector<std::pair<std::string, int64_t>>& counters,
+    std::string_view name) {
   for (const auto& [key, value] : counters) {
     if (key == name) return value;
   }
   return 0;
+}
+
+}  // namespace
+
+int64_t ProfileReport::Counter(const std::string& name) const {
+  return FindCounter(counters, name);
 }
 
 int64_t ProfileReport::TotalInvocations() const {
@@ -267,10 +275,7 @@ std::string ProfileReport::ToText() const {
     out << line;
     for (const ShardRow& row : shards) {
       auto counter = [&row](const char* name) -> long long {
-        for (const auto& [key, value] : row.counters) {
-          if (key == name) return value;
-        }
-        return 0;
+        return FindCounter(row.counters, name);
       };
       std::snprintf(line, sizeof(line),
                     "%-6lld %10lld %10lld %10lld %8lld %8lld %8lld\n",
@@ -289,10 +294,7 @@ std::string ProfileReport::ToText() const {
     out << line;
     for (const TenantRow& row : tenants) {
       auto counter = [&row](const char* name) -> long long {
-        for (const auto& [key, value] : row.counters) {
-          if (key == name) return value;
-        }
-        return 0;
+        return FindCounter(row.counters, name);
       };
       const long long budget = counter("budget_bytes");
       std::snprintf(line, sizeof(line),

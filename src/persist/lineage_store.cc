@@ -182,16 +182,14 @@ void LineageStoreWriter::AppendGhosts(
   FrameRecord(kRecGhosts, payload);
 }
 
-void LineageStoreWriter::AppendTenant(const PersistedTenant& tenant) {
+void LineageStoreWriter::AppendTenant(const CacheTenantStats& tenant) {
   std::string payload;
-  PutLengthPrefixed(&payload, tenant.name);
+  PutLengthPrefixed(&payload, tenant.tenant);
   PutSignedVarint(&payload, tenant.budget_bytes);
-  PutVarint(&payload, static_cast<uint64_t>(tenant.probes));
-  PutVarint(&payload, static_cast<uint64_t>(tenant.hits));
-  PutVarint(&payload, static_cast<uint64_t>(tenant.misses));
-  PutVarint(&payload, static_cast<uint64_t>(tenant.cross_tenant_hits));
-  PutVarint(&payload, static_cast<uint64_t>(tenant.puts));
-  PutVarint(&payload, static_cast<uint64_t>(tenant.evictions));
+#define LIMA_PUT_COUNTER(field) \
+  PutVarint(&payload, static_cast<uint64_t>(tenant.field));
+  LIMA_CACHE_TENANT_COUNTERS(LIMA_PUT_COUNTER)
+#undef LIMA_PUT_COUNTER
   FrameRecord(kRecTenant, payload);
 }
 
@@ -612,16 +610,14 @@ Status LineageStoreReader::ApplyGhosts(std::string_view payload) {
 
 Status LineageStoreReader::ApplyTenant(std::string_view payload) {
   ByteReader in(payload);
-  PersistedTenant tenant;
-  tenant.name = std::string(in.String());
+  CacheTenantStats tenant;
+  tenant.tenant = std::string(in.String());
   tenant.budget_bytes = in.SignedVarint();
-  tenant.probes = static_cast<int64_t>(in.Varint());
-  tenant.hits = static_cast<int64_t>(in.Varint());
-  tenant.misses = static_cast<int64_t>(in.Varint());
-  tenant.cross_tenant_hits = static_cast<int64_t>(in.Varint());
-  tenant.puts = static_cast<int64_t>(in.Varint());
-  tenant.evictions = static_cast<int64_t>(in.Varint());
-  if (!in.ok() || !in.AtEnd() || tenant.name.empty()) {
+#define LIMA_GET_COUNTER(field) \
+  tenant.field = static_cast<int64_t>(in.Varint());
+  LIMA_CACHE_TENANT_COUNTERS(LIMA_GET_COUNTER)
+#undef LIMA_GET_COUNTER
+  if (!in.ok() || !in.AtEnd() || tenant.tenant.empty()) {
     return Corrupt(path_, "bad tenant record");
   }
   tenants_.push_back(std::move(tenant));

@@ -12,39 +12,22 @@
 #include "common/result.h"
 #include "lineage/lineage_item.h"
 #include "persist/format.h"
+#include "reuse/lineage_cache.h"
 
 namespace lima {
 namespace persist {
 
-/// Cache-entry metadata row persisted alongside its key's lineage record
-/// (warm start). The value itself lives outside the segment: either a
-/// content-addressed file in the store directory (`kValueFile`) or an
-/// inline scalar literal (`kValueScalar`, ScalarValue lineage encoding).
-struct PersistedCacheEntry {
+/// Cache-entry row persisted alongside its key's lineage record (warm
+/// start): the entry's metadata plus a reference to its value, which lives
+/// outside the segment: either a content-addressed file in the store
+/// directory (`kValueFile`) or an inline scalar literal (`kValueScalar`,
+/// ScalarValue lineage encoding).
+struct PersistedCacheEntry : CacheEntryMeta {
   enum ValueKind : uint8_t { kValueFile = 1, kValueScalar = 2 };
 
   int64_t lineage_record = -1;  ///< index of the key's kRecLineage record
   uint8_t value_kind = kValueFile;
   std::string value_ref;  ///< file name (store-relative) or scalar literal
-  int64_t size_bytes = 0;
-  double compute_seconds = 0;
-  int64_t refs = 0;
-  int64_t last_access = 0;
-  int64_t height = 0;
-  std::string tenant;  ///< empty = no owning tenant
-};
-
-/// Per-tenant accounting row (budget + lifetime counters) persisted with a
-/// cache snapshot so a restarted server reconciles tenant state.
-struct PersistedTenant {
-  std::string name;
-  int64_t budget_bytes = -1;
-  int64_t probes = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t cross_tenant_hits = 0;
-  int64_t puts = 0;
-  int64_t evictions = 0;
 };
 
 /// Streaming writer for one lineage store segment. Records accumulate in
@@ -80,7 +63,9 @@ class LineageStoreWriter {
   /// Appends a batch of ghost history rows (key hash -> reference count).
   void AppendGhosts(const std::vector<std::pair<uint64_t, int64_t>>& ghosts);
 
-  void AppendTenant(const PersistedTenant& tenant);
+  /// Appends a tenant's budget and lifetime counters (resident bytes and
+  /// entry counts are rebuilt from the entries on import, not stored).
+  void AppendTenant(const CacheTenantStats& tenant);
 
   /// Appends free-form key/value metadata (snapshot clock, counts, ...).
   void AppendMeta(const std::vector<std::pair<std::string, std::string>>& kv);
@@ -175,7 +160,7 @@ class LineageStoreReader {
   const std::vector<std::pair<uint64_t, int64_t>>& ghosts() const {
     return ghosts_;
   }
-  const std::vector<PersistedTenant>& tenants() const { return tenants_; }
+  const std::vector<CacheTenantStats>& tenants() const { return tenants_; }
   const std::unordered_map<std::string, std::string>& meta() const {
     return meta_;
   }
@@ -225,7 +210,7 @@ class LineageStoreReader {
   std::vector<Record> records_;
   std::vector<PersistedCacheEntry> cache_entries_;
   std::vector<std::pair<uint64_t, int64_t>> ghosts_;
-  std::vector<PersistedTenant> tenants_;
+  std::vector<CacheTenantStats> tenants_;
   std::unordered_map<std::string, std::string> meta_;
   int64_t total_items_ = 0;
 };

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "matrix/matrix_io.h"
 #include "persist/format.h"
 #include "persist/lineage_store.h"
 #include "runtime/data.h"
@@ -95,29 +96,6 @@ void SweepStoreDir(const std::string& dir, const std::string& keep_snapshot,
   }
 }
 
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) return Status::IoError("read failed: " + path);
-  return std::move(buf).str();
-}
-
-/// Serializes a matrix value in the spill-file layout (rows, cols, raw
-/// doubles) so warm-started entries restore through the existing
-/// RestoreEntry path unchanged.
-std::string EncodeMatrixFile(const MatrixPtr& m) {
-  std::string bytes;
-  int64_t rows = m->rows();
-  int64_t cols = m->cols();
-  bytes.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  bytes.append(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  bytes.append(reinterpret_cast<const char*>(m->data()),
-               static_cast<size_t>(m->SizeInBytes()));
-  return bytes;
-}
-
 }  // namespace
 
 std::string ValueFileName(uint64_t key_hash, int64_t size_bytes) {
@@ -154,7 +132,7 @@ Result<SnapshotStats> SaveCacheSnapshot(LineageCache* cache,
   SnapshotStats stats;
   LineageStoreWriter writer;
   int64_t clock = 0;
-  for (const LineageCache::ExportedEntry& row : exported.entries) {
+  for (const LineageCache::SnapshotEntry& row : exported.entries) {
     clock = std::max(clock, row.last_access);
   }
   writer.AppendMeta({{"kind", kSnapshotKind},
@@ -162,8 +140,9 @@ Result<SnapshotStats> SaveCacheSnapshot(LineageCache* cache,
                      {"pid", std::to_string(::getpid())}});
 
   std::unordered_set<std::string> referenced;
-  for (const LineageCache::ExportedEntry& row : exported.entries) {
+  for (const LineageCache::SnapshotEntry& row : exported.entries) {
     PersistedCacheEntry entry;
+    static_cast<CacheEntryMeta&>(entry) = row;
     if (row.value != nullptr && row.value->type() == DataType::kScalar) {
       entry.value_kind = PersistedCacheEntry::kValueScalar;
       entry.value_ref = static_cast<const ScalarData*>(row.value.get())
@@ -173,28 +152,24 @@ Result<SnapshotStats> SaveCacheSnapshot(LineageCache* cache,
       std::string name = ValueFileName(row.key->hash(), row.size_bytes);
       std::string target = dir + "/" + name;
       if (!std::filesystem::exists(target)) {
-        std::string bytes;
-        if (row.value != nullptr) {
-          if (row.value->type() != DataType::kMatrix) {
-            ++stats.skipped;  // lists are not persistable
-            continue;
+        // Value files use matrix_io's binary format, the spill-file layout,
+        // so warm-started entries restore like spilled ones. A spilled
+        // entry's file is read back through the codec; it may vanish
+        // concurrently (a probe restored and consumed it), and then the
+        // entry is simply skipped, as are lists (not persistable).
+        MatrixPtr matrix;
+        if (row.value == nullptr) {
+          Result<Matrix> spilled =
+              ReadMatrixFile(row.value_path, row.size_bytes);
+          if (spilled.ok()) {
+            matrix = std::make_shared<const Matrix>(
+                std::move(spilled).ValueOrDie());
           }
-          bytes = EncodeMatrixFile(
-              static_cast<const MatrixData*>(row.value.get())->matrix());
-        } else {
-          // Spilled entry: copy the spill file into the content-addressed
-          // store name. The source may vanish concurrently (a probe
-          // restored and consumed it) — then this entry is simply skipped.
-          Result<std::string> read = ReadFileBytes(row.spill_path);
-          if (!read.ok() ||
-              read.ValueOrDie().size() < 2 * sizeof(int64_t)) {
-            ++stats.skipped;
-            continue;
-          }
-          bytes = std::move(read).ValueOrDie();
+        } else if (row.value->type() == DataType::kMatrix) {
+          matrix = static_cast<const MatrixData*>(row.value.get())->matrix();
         }
-        Status written = AtomicWriteFile(target, bytes);
-        if (!written.ok()) {
+        if (matrix == nullptr ||
+            !AtomicWriteFile(target, EncodeMatrixFile(*matrix)).ok()) {
           ++stats.skipped;
           continue;
         }
@@ -204,28 +179,13 @@ Result<SnapshotStats> SaveCacheSnapshot(LineageCache* cache,
       referenced.insert(entry.value_ref);
     }
     entry.lineage_record = writer.AppendLineage("cache", row.key);
-    entry.size_bytes = row.size_bytes;
-    entry.compute_seconds = row.compute_seconds;
-    entry.refs = row.refs;
-    entry.last_access = row.last_access;
-    entry.height = row.height;
-    entry.tenant = row.tenant;
     writer.AppendCacheEntry(entry);
     ++stats.entries;
   }
   if (!exported.ghost_refs.empty()) writer.AppendGhosts(exported.ghost_refs);
   stats.ghosts = static_cast<int64_t>(exported.ghost_refs.size());
   for (const CacheTenantStats& tenant : exported.tenants) {
-    PersistedTenant row;
-    row.name = tenant.tenant;
-    row.budget_bytes = tenant.budget_bytes;
-    row.probes = tenant.probes;
-    row.hits = tenant.hits;
-    row.misses = tenant.misses;
-    row.cross_tenant_hits = tenant.cross_tenant_hits;
-    row.puts = tenant.puts;
-    row.evictions = tenant.evictions;
-    writer.AppendTenant(row);
+    writer.AppendTenant(tenant);
     ++stats.tenants;
   }
 
@@ -278,7 +238,7 @@ WarmStartReport LoadCacheSnapshot(LineageCache* cache,
     return reject("snapshot " + current + " is not a cache snapshot");
   }
 
-  std::vector<LineageCache::ImportedEntry> entries;
+  std::vector<LineageCache::SnapshotEntry> entries;
   std::unordered_set<std::string> referenced;
   for (const PersistedCacheEntry& persisted : reader.cache_entries()) {
     Result<LineageItemPtr> key =
@@ -287,7 +247,8 @@ WarmStartReport LoadCacheSnapshot(LineageCache* cache,
       ++report.skipped;
       continue;
     }
-    LineageCache::ImportedEntry row;
+    LineageCache::SnapshotEntry row;
+    static_cast<CacheEntryMeta&>(row) = persisted;
     row.key = key.ValueOrDie();
     if (persisted.value_kind == PersistedCacheEntry::kValueScalar) {
       Result<ScalarValue> value =
@@ -306,8 +267,7 @@ WarmStartReport LoadCacheSnapshot(LineageCache* cache,
       std::error_code ec;
       int64_t on_disk =
           static_cast<int64_t>(std::filesystem::file_size(path, ec));
-      if (ec || on_disk != persisted.size_bytes +
-                               static_cast<int64_t>(2 * sizeof(int64_t))) {
+      if (ec || on_disk != MatrixFileBytes(persisted.size_bytes)) {
         // Missing or size-skewed value file: the entry is dropped and the
         // sweep below removes the unusable file (failed-restore sweep).
         ++report.skipped;
@@ -316,32 +276,13 @@ WarmStartReport LoadCacheSnapshot(LineageCache* cache,
       row.value_path = std::move(path);
       referenced.insert(persisted.value_ref);
     }
-    row.size_bytes = persisted.size_bytes;
-    row.compute_seconds = persisted.compute_seconds;
-    row.refs = persisted.refs;
-    row.last_access = persisted.last_access;
-    row.height = persisted.height;
-    row.tenant = persisted.tenant;
     entries.push_back(std::move(row));
   }
 
-  std::vector<CacheTenantStats> tenants;
-  for (const PersistedTenant& tenant : reader.tenants()) {
-    CacheTenantStats row;
-    row.tenant = tenant.name;
-    row.budget_bytes = tenant.budget_bytes;
-    row.probes = tenant.probes;
-    row.hits = tenant.hits;
-    row.misses = tenant.misses;
-    row.cross_tenant_hits = tenant.cross_tenant_hits;
-    row.puts = tenant.puts;
-    row.evictions = tenant.evictions;
-    tenants.push_back(std::move(row));
-  }
-
-  report.entries = cache->ImportSnapshot(entries, reader.ghosts(), tenants);
+  report.entries =
+      cache->ImportSnapshot(entries, reader.ghosts(), reader.tenants());
   report.ghosts = static_cast<int64_t>(reader.ghosts().size());
-  report.tenants = static_cast<int64_t>(tenants.size());
+  report.tenants = static_cast<int64_t>(reader.tenants().size());
   report.snapshot_file = current;
   report.warm = true;
   // Startup sweep: drop value files this snapshot no longer references

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -16,22 +17,51 @@
 
 namespace lima {
 
+/// The per-shard counter table: X(field) is a relaxed atomic per shard, a
+/// CacheShardStats member and a profile-report column. hits + misses ==
+/// probes: every Probe() resolves to exactly one of the two, including
+/// probes that blocked on a placeholder first or registered a claim.
+#define LIMA_CACHE_SHARD_COUNTERS(X) \
+  X(probes)                          \
+  X(hits)                            \
+  X(misses)                          \
+  X(placeholder_waits)               \
+  X(placeholder_steals)              \
+  X(evictions)                       \
+  X(spills)                          \
+  X(restores)
+
+/// The per-tenant counter table: X(field) is a relaxed atomic per tenant, a
+/// CacheTenantStats member, a column of the profile report and the serve
+/// `stats` op, and a varint of the snapshot's tenant record. Appending a
+/// counter therefore changes that record: older snapshots no longer load.
+/// Cross-tenant hits land on entries another tenant produced, the reuse the
+/// shared cache exists for; evictions count entries the tenant owned.
+#define LIMA_CACHE_TENANT_COUNTERS(X) \
+  X(probes)                           \
+  X(hits)                             \
+  X(misses)                           \
+  X(cross_tenant_hits)                \
+  X(puts)                             \
+  X(evictions)
+
+#define LIMA_CACHE_STATS_FIELD(field) int64_t field = 0;
+#define LIMA_CACHE_STATS_PAIR(field) {#field, field},
+
 /// Point-in-time counters of one lock stripe of the lineage cache
-/// (LineageCache::ShardStatsSnapshot). Per shard, hits + misses == probes:
-/// every Probe() call resolves to exactly one of the two, including probes
-/// that blocked on a placeholder first.
+/// (LineageCache::ShardStatsSnapshot).
 struct CacheShardStats {
   int shard = 0;
   int64_t entries = 0;         ///< non-placeholder entries (resident+spilled)
   int64_t resident_bytes = 0;  ///< bytes of in-memory values
-  int64_t probes = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;  ///< includes probes that registered a claim
-  int64_t placeholder_waits = 0;
-  int64_t placeholder_steals = 0;
-  int64_t evictions = 0;
-  int64_t spills = 0;
-  int64_t restores = 0;
+  LIMA_CACHE_SHARD_COUNTERS(LIMA_CACHE_STATS_FIELD)
+
+  /// Every field but `shard`, named, in report order.
+  std::vector<std::pair<std::string, int64_t>> ToPairs() const {
+    return {{"entries", entries},
+            {"resident_bytes", resident_bytes},
+            LIMA_CACHE_SHARD_COUNTERS(LIMA_CACHE_STATS_PAIR)};
+  }
 };
 
 /// Point-in-time counters of one tenant of the lineage cache
@@ -43,14 +73,30 @@ struct CacheTenantStats {
   int64_t budget_bytes = -1;    ///< -1 = unlimited (global budget only)
   int64_t resident_bytes = 0;   ///< bytes of in-memory values owned
   int64_t entries = 0;          ///< non-placeholder entries owned
-  int64_t probes = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  /// Hits on entries another tenant produced: the cross-tenant reuse the
-  /// shared-cache service exists for.
-  int64_t cross_tenant_hits = 0;
-  int64_t puts = 0;
-  int64_t evictions = 0;  ///< evictions of entries this tenant owned
+  LIMA_CACHE_TENANT_COUNTERS(LIMA_CACHE_STATS_FIELD)
+
+  /// Every field but `tenant`, named, in report order.
+  std::vector<std::pair<std::string, int64_t>> ToPairs() const {
+    return {{"budget_bytes", budget_bytes},
+            {"resident_bytes", resident_bytes},
+            {"entries", entries},
+            LIMA_CACHE_TENANT_COUNTERS(LIMA_CACHE_STATS_PAIR)};
+  }
+};
+
+#undef LIMA_CACHE_STATS_PAIR
+#undef LIMA_CACHE_STATS_FIELD
+
+/// A cache entry's metadata, copied as one value along the snapshot round
+/// trip: ExportSnapshot -> SaveCacheSnapshot -> cache-entry record ->
+/// LoadCacheSnapshot -> ImportSnapshot.
+struct CacheEntryMeta {
+  int64_t size_bytes = 0;
+  double compute_seconds = 0;
+  int64_t refs = 0;
+  int64_t last_access = 0;
+  int64_t height = 0;
+  std::string tenant;  ///< owning tenant name, empty when none
 };
 
 /// The LIMA lineage cache (Sec. 4): a thread-safe map from lineage traces to
@@ -147,19 +193,15 @@ class LineageCache : public ReuseCache {
 
   // --- persistence (src/persist/snapshot.*) ------------------------------
 
-  /// One cache entry as captured by ExportSnapshot: the lineage key plus
-  /// either the resident value or the path of its spill file (exactly one
-  /// of `value` / `spill_path` is set).
-  struct ExportedEntry {
+  /// One cache entry crossing a snapshot in either direction: key, metadata,
+  /// and value, resident or in the file at `value_path` (export: the spill
+  /// file; import: a store-owned value file, imported spilled with
+  /// `persistent` set so the first hit restores it lazily WITHOUT deleting
+  /// the store's copy; scalars arrive resident).
+  struct SnapshotEntry : CacheEntryMeta {
     LineageItemPtr key;
-    DataPtr value;           ///< resident value (null when spilled)
-    std::string spill_path;  ///< source spill file (empty when resident)
-    double compute_seconds = 0;
-    int64_t size_bytes = 0;
-    int64_t refs = 0;
-    int64_t last_access = 0;
-    int64_t height = 0;
-    std::string tenant;  ///< owning tenant name, empty when none
+    DataPtr value;
+    std::string value_path;
   };
 
   /// Point-in-time capture of cache contents and history for persistence:
@@ -168,38 +210,24 @@ class LineageCache : public ReuseCache {
   /// capture is consistent per shard (the same guarantee the stats
   /// snapshots give) and safe on a live cache.
   struct SnapshotExport {
-    std::vector<ExportedEntry> entries;
+    std::vector<SnapshotEntry> entries;
     std::vector<std::pair<uint64_t, int64_t>> ghost_refs;
     std::vector<CacheTenantStats> tenants;
   };
   SnapshotExport ExportSnapshot() const;
-
-  /// One entry to rebuild on warm start. Matrix values arrive as
-  /// store-owned files (`value_path`) and are imported in the spilled
-  /// state with `persistent` set, so the first hit restores them lazily
-  /// WITHOUT deleting the store's copy; scalar values arrive resident.
-  struct ImportedEntry {
-    LineageItemPtr key;
-    DataPtr value;           ///< resident import (scalars)
-    std::string value_path;  ///< store-owned value file (matrices)
-    double compute_seconds = 0;
-    int64_t size_bytes = 0;
-    int64_t refs = 0;
-    int64_t last_access = 0;
-    int64_t height = 0;
-    std::string tenant;
-  };
 
   /// Rebuilds cache state from a snapshot (warm start): entries that do
   /// not collide with live keys are inserted, ghost history is merged into
   /// the owning shards, tenants are re-created with their budgets and
   /// lifetime counters, and the logical clock advances past every imported
   /// access time. Returns the number of entries imported.
-  int64_t ImportSnapshot(const std::vector<ImportedEntry>& entries,
+  int64_t ImportSnapshot(const std::vector<SnapshotEntry>& entries,
                          const std::vector<std::pair<uint64_t, int64_t>>& ghosts,
                          const std::vector<CacheTenantStats>& tenants);
 
  private:
+#define LIMA_CACHE_ATOMIC(field) std::atomic<int64_t> field{0};
+
   /// Interned per-tenant accounting state. Pointer-stable (owned by
   /// tenants_ via unique_ptr, never erased), so Entry can hold a raw owner
   /// pointer and threads can carry one as their attribution tag.
@@ -208,12 +236,7 @@ class LineageCache : public ReuseCache {
     std::string name;
     std::atomic<int64_t> budget_bytes{-1};  ///< -1 = unlimited
     std::atomic<int64_t> resident_bytes{0};
-    std::atomic<int64_t> probes{0};
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-    std::atomic<int64_t> cross_tenant_hits{0};
-    std::atomic<int64_t> puts{0};
-    std::atomic<int64_t> evictions{0};
+    LIMA_CACHE_TENANT_COUNTERS(LIMA_CACHE_ATOMIC)
   };
 
   struct Entry {
@@ -267,15 +290,9 @@ class LineageCache : public ReuseCache {
     std::unordered_map<uint64_t, int64_t> ghost_refs;
     // Stat counters (relaxed; per shard so the hot path shares no cache
     // line across stripes).
-    std::atomic<int64_t> probes{0};
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-    std::atomic<int64_t> placeholder_waits{0};
-    std::atomic<int64_t> placeholder_steals{0};
-    std::atomic<int64_t> evictions{0};
-    std::atomic<int64_t> spills{0};
-    std::atomic<int64_t> restores{0};
+    LIMA_CACHE_SHARD_COUNTERS(LIMA_CACHE_ATOMIC)
   };
+#undef LIMA_CACHE_ATOMIC
 
   Shard& ShardFor(const LineageItemPtr& key) const {
     return *shards_[ShardIndex(key->hash())];
@@ -291,15 +308,13 @@ class LineageCache : public ReuseCache {
   /// first.
   double Score(const Entry& entry) const;
 
-  /// Global eviction pass: evicts (or spills) entries until size_bytes_ is
-  /// back under budget (with hysteresis). Serialized by evict_mu_; acquires
-  /// shard locks one at a time. Must be called WITHOUT any shard lock held.
-  void EvictUntilFits();
-
-  /// Tenant-scoped eviction pass: evicts only `tenant`-owned entries (all
-  /// shards, ascending score) until the tenant's resident bytes fit its
-  /// budget. Same locking contract as EvictUntilFits.
-  void EvictTenantUntilFits(TenantState* tenant);
+  /// The eviction pass (docs/CONCURRENCY.md). Global mode (`owner` null)
+  /// evicts (or spills) any entries until size_bytes_ is back under the
+  /// budget, with hysteresis. Tenant mode evicts only `owner`'s entries
+  /// until its resident bytes fit its budget. Serialized by evict_mu_;
+  /// acquires shard locks one at a time. Must be called WITHOUT any shard
+  /// lock held.
+  void EvictUntilFits(TenantState* owner = nullptr);
 
   /// Interns a tenant by name (creating it on first use).
   TenantState* GetOrCreateTenant(const std::string& name);
@@ -311,12 +326,13 @@ class LineageCache : public ReuseCache {
     return tenant != nullptr && tenant->cache == this ? tenant : nullptr;
   }
 
-  /// Detaches a resident entry's bytes from its owning tenant (eviction,
-  /// spill, clear — whenever the value leaves memory).
-  static void ReleaseTenantBytes(Entry* entry) {
-    if (entry->tenant != nullptr) {
-      entry->tenant->resident_bytes.fetch_sub(entry->size_bytes,
-                                              std::memory_order_relaxed);
+  /// Charges (`bytes` > 0) or releases (< 0) resident bytes against the
+  /// global budget and the entry's owning tenant, whenever a value enters
+  /// or leaves memory (put, restore, import; eviction, spill, clear).
+  void ChargeResident(const Entry& entry, int64_t bytes) {
+    size_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    if (entry.tenant != nullptr) {
+      entry.tenant->resident_bytes.fetch_add(bytes, std::memory_order_relaxed);
     }
   }
 
@@ -324,12 +340,19 @@ class LineageCache : public ReuseCache {
   /// shard lock.
   bool SpillEntry(Shard* shard, Entry* entry);
 
-  /// Restores a spilled entry from disk. Requires the entry's shard lock.
-  Status RestoreEntry(Shard* shard, Entry* entry, uint64_t key_hash);
+  /// Restores a spilled entry from disk in place. Requires the entry's
+  /// shard lock. On failure the entry and its spill file are dropped (no
+  /// orphan files) and `it` is invalidated.
+  bool RestoreEntry(Shard* shard, EntryMap::iterator it);
 
-  /// Deletes the entry's spill file (if any) and clears the spill state;
-  /// used when a restore fails so no orphan files are leaked.
-  void DropSpillFile(Entry* entry);
+  /// Runs the global eviction pass after a restore pushed size_bytes_ back
+  /// up, with the shard `lock` released and `entry` pinned (Entry::pins) so
+  /// the value being handed out stays resident.
+  void EvictPinned(Entry* entry, std::unique_lock<std::mutex>* lock);
+
+  /// A new entry for `key`, its reference count seeded from the shard's
+  /// ghost history. Requires the shard lock.
+  std::shared_ptr<Entry> NewEntry(Shard* shard, const LineageItemPtr& key);
 
   /// Records into the event log when one is attached.
   void RecordEvent(CacheEventKind kind, int64_t size_bytes, double score,
@@ -355,10 +378,11 @@ class LineageCache : public ReuseCache {
   std::atomic<int64_t> clock_{0};
   /// Serializes eviction passes; ordered strictly before shard locks.
   std::mutex evict_mu_;
-  /// Tenant registry (name -> interned state); guarded by tenants_mu_.
+  /// Tenant registry (name -> interned state), ordered by name for the
+  /// sorted TenantStatsSnapshot; guarded by tenants_mu_.
   /// Hot paths never take this lock: they use the thread-local tag.
   mutable std::mutex tenants_mu_;
-  std::unordered_map<std::string, std::unique_ptr<TenantState>> tenants_;
+  std::map<std::string, std::unique_ptr<TenantState>> tenants_;
   /// Rotating start shard for sampled eviction scans.
   size_t evict_cursor_ = 0;
   std::atomic<int64_t> spill_counter_{0};

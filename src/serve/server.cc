@@ -507,18 +507,9 @@ Message LimaServer::HandleStats() {
   }
   for (const std::shared_ptr<LineageCache>& cache : caches) {
     for (const CacheTenantStats& t : cache->TenantStatsSnapshot()) {
-      const std::string prefix = "tenant." + t.tenant + ".";
-      response.Set(prefix + "budget_bytes", std::to_string(t.budget_bytes));
-      response.Set(prefix + "resident_bytes",
-                   std::to_string(t.resident_bytes));
-      response.Set(prefix + "entries", std::to_string(t.entries));
-      response.Set(prefix + "probes", std::to_string(t.probes));
-      response.Set(prefix + "hits", std::to_string(t.hits));
-      response.Set(prefix + "misses", std::to_string(t.misses));
-      response.Set(prefix + "cross_tenant_hits",
-                   std::to_string(t.cross_tenant_hits));
-      response.Set(prefix + "puts", std::to_string(t.puts));
-      response.Set(prefix + "evictions", std::to_string(t.evictions));
+      for (const auto& [name, value] : t.ToPairs()) {
+        response.Set("tenant." + t.tenant + "." + name, std::to_string(value));
+      }
     }
   }
   return response;

@@ -49,6 +49,23 @@ TEST(MatrixIoTest, ErrorsOnBadFiles) {
   std::ofstream(path) << "1,2\n3\n";
   EXPECT_FALSE(ReadMatrixCsv(path).ok());
   std::filesystem::remove(path);
+
+  // Header-only files whose rows * cols overflows int64: both binary
+  // readers must reject them before allocating anything.
+  const int64_t hostile[][2] = {{int64_t{1} << 32, int64_t{1} << 32},
+                                {3, int64_t{1} << 62}};
+  for (const int64_t(&header)[2] : hostile) {
+    SCOPED_TRACE(std::to_string(header[0]) + "x" + std::to_string(header[1]));
+    path = TempPath("hostile.bin");
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(header), sizeof(header));
+    Result<Matrix> read = ReadMatrixFile(path);
+    ASSERT_FALSE(read.ok());
+    EXPECT_NE(read.status().message().find("corrupt matrix header"),
+              std::string::npos);
+    EXPECT_FALSE(PeekMatrixDims(path).ok());
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(IoBuiltinTest, WriteReadRoundTripInScript) {

@@ -72,8 +72,8 @@ std::string BuildSegmentBytes(bool compress, const std::string& scratch,
   entry.tenant = "alice";
   writer.AppendCacheEntry(entry);
   writer.AppendGhosts({{0x1234u, 3}, {0x5678u, 1}});
-  PersistedTenant tenant;
-  tenant.name = "alice";
+  CacheTenantStats tenant;
+  tenant.tenant = "alice";
   tenant.budget_bytes = 1 << 20;
   tenant.probes = 10;
   writer.AppendTenant(tenant);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +106,21 @@ TEST(ServeTest, RunPingStatsAndErrors) {
   Result<Message> response = Call(options.socket_path, unknown);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->Get("status"), "error");
+
+  // A hostile matrix file (a 16-byte header whose rows * cols overflows)
+  // fails the request, not the daemon: the next ping is still answered.
+  const std::string hostile = SocketPath("hostile") + ".bin";
+  const int64_t header[2] = {3, int64_t{1} << 62};
+  std::ofstream(hostile, std::ios::binary)
+      .write(reinterpret_cast<const char*>(header), sizeof(header));
+  Result<Message> corrupt = RunScript(
+      options.socket_path, "alice",
+      "X = read(\"" + hostile + "\");\nprint(sum(X));\n");
+  EXPECT_FALSE(corrupt.ok());
+  std::remove(hostile.c_str());
+  Result<Message> pong_after = Call(options.socket_path, ping);
+  ASSERT_TRUE(pong_after.ok()) << pong_after.status().ToString();
+  EXPECT_EQ(pong_after->Get("status"), "ok");
 
   Message stats;
   stats.Set("op", "stats");
