@@ -27,6 +27,58 @@ LineageItemPtr ResolveOperandLineage(ExecutionContext* ctx,
   return item;
 }
 
+BundleReuse::BundleReuse(ExecutionContext* ctx, LineageItemPtr key)
+    : ctx_(ctx), key_(std::move(key)) {
+  if (ctx_->stats() != nullptr) {
+    ctx_->stats()->cache_probes.fetch_add(1, std::memory_order_relaxed);
+  }
+  probe_ = ctx_->cache()->Probe(key_, /*claim=*/true);
+  claimed_ = probe_.kind == ReuseCache::ProbeKind::kClaimed;
+}
+
+bool BundleReuse::BindHit(const std::vector<std::string>& outputs,
+                          bool exact_size,
+                          std::atomic<int64_t> RuntimeStats::*hits) {
+  if (probe_.kind != ReuseCache::ProbeKind::kHit ||
+      probe_.value->type() != DataType::kList) {
+    return false;
+  }
+  auto bundle = std::static_pointer_cast<const ListData>(probe_.value);
+  const int64_t wanted = static_cast<int64_t>(outputs.size());
+  if (exact_size ? bundle->size() != wanted : bundle->size() < wanted) {
+    return false;
+  }
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    ctx_->SetVariable(outputs[i], bundle->elements()[i],
+                      bundle->element_lineage()[i]);
+  }
+  if (ctx_->stats() != nullptr) {
+    (ctx_->stats()->*hits).fetch_add(1, std::memory_order_relaxed);
+  }
+  return true;
+}
+
+void BundleReuse::Put(const ExecutionContext& from,
+                      const std::vector<std::string>& vars,
+                      double compute_seconds) {
+  if (!claimed_) return;
+  std::vector<DataPtr> values;
+  std::vector<LineageItemPtr> items;
+  values.reserve(vars.size());
+  items.reserve(vars.size());
+  for (const std::string& var : vars) {
+    DataPtr value = from.symbols().GetOrNull(var);
+    if (value == nullptr) return;
+    values.push_back(std::move(value));
+    items.push_back(from.lineage().Get(var));
+  }
+  claimed_ = false;
+  ctx_->cache()->Put(
+      key_,
+      std::make_shared<const ListData>(std::move(values), std::move(items)),
+      compute_seconds);
+}
+
 std::string Instruction::ToString() const { return opcode(); }
 
 std::vector<std::string> ComputationInstruction::InputVars() const {

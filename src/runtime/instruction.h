@@ -50,6 +50,39 @@ Result<DataPtr> ResolveOperand(ExecutionContext* ctx, const Operand& op);
 /// cache; untracked variables get unique orphan leaves).
 LineageItemPtr ResolveOperandLineage(ExecutionContext* ctx, const Operand& op);
 
+/// Multi-level reuse of a whole function call or basic block (Sec. 4.1):
+/// one cache entry under `key` bundles every output as a ListData of values
+/// and their lineage. Construction probes the key with a claim; a claim
+/// that Put() never fills is aborted on destruction, so every early return
+/// releases the key's waiters.
+class BundleReuse {
+ public:
+  BundleReuse(ExecutionContext* ctx, LineageItemPtr key);
+  ~BundleReuse() {
+    if (claimed_) ctx_->cache()->Abort(key_);
+  }
+  BundleReuse(const BundleReuse&) = delete;
+  BundleReuse& operator=(const BundleReuse&) = delete;
+
+  /// On a hit whose bundle holds exactly `outputs.size()` values (or at
+  /// least that many, unless `exact_size`), binds each output with its
+  /// lineage, counts the hit in `hits`, and returns true.
+  bool BindHit(const std::vector<std::string>& outputs, bool exact_size,
+               std::atomic<int64_t> RuntimeStats::*hits);
+
+  /// Fills a held claim with `vars` (values and lineage) as bound in
+  /// `from`. A partial bundle is never cached: if a variable is unbound,
+  /// the claim is left to the destructor's abort.
+  void Put(const ExecutionContext& from, const std::vector<std::string>& vars,
+           double compute_seconds);
+
+ private:
+  ExecutionContext* ctx_;
+  LineageItemPtr key_;
+  ReuseCache::ProbeResult probe_;
+  bool claimed_;
+};
+
 /// Base class of all runtime instructions. Instructions are immutable and
 /// shared across iterations/threads; all mutable state lives in the
 /// ExecutionContext.

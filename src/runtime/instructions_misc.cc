@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include <fstream>
+#include <optional>
 
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -290,39 +291,19 @@ Status CallFunction(ExecutionContext* ctx, const Function& fn,
   if (output_vars.size() > fn.outputs().size()) {
     return Status::Invalid("too many outputs bound for function " + fn.name());
   }
-  RuntimeStats* stats = ctx->stats();
 
   // Multi-level (function-level) reuse: probe a special "fcall" item that
-  // bundles all outputs (Sec. 4.1).
-  ReuseCache* cache = ctx->cache();
-  LineageItemPtr fitem;
-  bool claimed = false;
-  const bool multilevel = ctx->reuse_active() &&
-                          ctx->config().reuse_mode == ReuseMode::kMultiLevel &&
-                          fn.deterministic() &&
-                          arg_values.size() == arg_items.size();
-  if (multilevel) {
-    std::vector<LineageItemPtr> inputs = arg_items;
-    fitem = LineageItem::Create("fcall", std::move(inputs), fn.name());
-    if (stats != nullptr) {
-      stats->cache_probes.fetch_add(1, std::memory_order_relaxed);
+  // bundles all outputs (Sec. 4.1). Callers may bind fewer outputs than the
+  // function has, so a bundle serves any call binding at most its size.
+  std::optional<BundleReuse> reuse;
+  if (ctx->reuse_active() &&
+      ctx->config().reuse_mode == ReuseMode::kMultiLevel &&
+      fn.deterministic() && arg_values.size() == arg_items.size()) {
+    reuse.emplace(ctx, LineageItem::Create("fcall", arg_items, fn.name()));
+    if (reuse->BindHit(output_vars, /*exact_size=*/false,
+                       &RuntimeStats::function_reuse_hits)) {
+      return Status::OK();
     }
-    ReuseCache::ProbeResult probe = cache->Probe(fitem, /*claim=*/true);
-    if (probe.kind == ReuseCache::ProbeKind::kHit &&
-        probe.value->type() == DataType::kList) {
-      auto bundle = std::static_pointer_cast<const ListData>(probe.value);
-      if (bundle->size() >= static_cast<int64_t>(output_vars.size())) {
-        for (size_t i = 0; i < output_vars.size(); ++i) {
-          ctx->SetVariable(output_vars[i], bundle->elements()[i],
-                           bundle->element_lineage()[i]);
-        }
-        if (stats != nullptr) {
-          stats->function_reuse_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        return Status::OK();
-      }
-    }
-    claimed = probe.kind == ReuseCache::ProbeKind::kClaimed;
   }
 
   // Bind arguments (values + lineage) into a fresh function-local context.
@@ -342,7 +323,6 @@ Status CallFunction(ExecutionContext* ctx, const Function& fn,
                                   param.default_value.EncodeLineageLiteral())
                             : nullptr);
     } else {
-      if (claimed) cache->Abort(fitem);
       return Status::Invalid("missing argument '" + param.name +
                              "' for function " + fn.name());
     }
@@ -351,34 +331,24 @@ Status CallFunction(ExecutionContext* ctx, const Function& fn,
   StopWatch watch;
   Status status = ExecuteBlocks(fn.body(), &child);
   if (!status.ok()) {
-    if (claimed) cache->Abort(fitem);
     return Status(status.code(), status.message() + " [in function " +
                                      fn.name() + "]");
   }
   double seconds = watch.ElapsedSeconds();
 
-  // Copy outputs back to the caller.
-  std::vector<DataPtr> out_values;
-  std::vector<LineageItemPtr> out_items;
+  // Copy outputs back to the caller, all or none.
   for (const std::string& out_name : fn.outputs()) {
-    Result<DataPtr> value = child.symbols().Get(out_name);
-    if (!value.ok()) {
-      if (claimed) cache->Abort(fitem);
+    if (!child.symbols().Contains(out_name)) {
       return Status::RuntimeError("function " + fn.name() +
                                   " did not assign output " + out_name);
     }
-    out_values.push_back(std::move(value).ValueOrDie());
-    out_items.push_back(child.lineage().Get(out_name));
   }
   for (size_t i = 0; i < output_vars.size(); ++i) {
-    ctx->SetVariable(output_vars[i], out_values[i], out_items[i]);
+    const std::string& out_name = fn.outputs()[i];
+    ctx->SetVariable(output_vars[i], child.symbols().GetOrNull(out_name),
+                     child.lineage().Get(out_name));
   }
-  if (claimed) {
-    cache->Put(fitem,
-               std::make_shared<const ListData>(std::move(out_values),
-                                                std::move(out_items)),
-               seconds);
-  }
+  if (reuse) reuse->Put(child, fn.outputs(), seconds);
   return Status::OK();
 }
 

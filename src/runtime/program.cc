@@ -152,8 +152,6 @@ Status BasicBlock::Execute(ExecutionContext* ctx) const {
                           ctx->config().reuse_mode == ReuseMode::kMultiLevel;
   if (!multilevel) return ExecuteInstructions(ctx);
 
-  RuntimeStats* stats = ctx->stats();
-  ReuseCache* cache = ctx->cache();
   std::vector<LineageItemPtr> input_items;
   input_items.reserve(reuse_info_.inputs.size());
   for (const std::string& var : reuse_info_.inputs) {
@@ -163,54 +161,16 @@ Status BasicBlock::Execute(ExecutionContext* ctx) const {
   std::snprintf(signature, sizeof(signature), "sig:%016llx",
                 static_cast<unsigned long long>(reuse_info_.signature));
   static const OpcodeId kBlockId = InternOpcode("block");
-  LineageItemPtr key =
-      LineageItem::Create(kBlockId, std::move(input_items), signature);
-
-  if (stats != nullptr) {
-    stats->cache_probes.fetch_add(1, std::memory_order_relaxed);
+  BundleReuse reuse(
+      ctx, LineageItem::Create(kBlockId, std::move(input_items), signature));
+  if (reuse.BindHit(reuse_info_.outputs, /*exact_size=*/true,
+                    &RuntimeStats::block_reuse_hits)) {
+    return Status::OK();
   }
-  ReuseCache::ProbeResult probe = cache->Probe(key, /*claim=*/true);
-  if (probe.kind == ReuseCache::ProbeKind::kHit &&
-      probe.value->type() == DataType::kList) {
-    auto bundle = std::static_pointer_cast<const ListData>(probe.value);
-    if (bundle->size() ==
-        static_cast<int64_t>(reuse_info_.outputs.size())) {
-      for (size_t i = 0; i < reuse_info_.outputs.size(); ++i) {
-        ctx->SetVariable(reuse_info_.outputs[i], bundle->elements()[i],
-                         bundle->element_lineage()[i]);
-      }
-      if (stats != nullptr) {
-        stats->block_reuse_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    }
-  }
-  const bool claimed = probe.kind == ReuseCache::ProbeKind::kClaimed;
 
   StopWatch watch;
-  Status status = ExecuteInstructions(ctx);
-  if (!status.ok()) {
-    if (claimed) cache->Abort(key);
-    return status;
-  }
-  if (claimed) {
-    std::vector<DataPtr> values;
-    std::vector<LineageItemPtr> items;
-    values.reserve(reuse_info_.outputs.size());
-    for (const std::string& var : reuse_info_.outputs) {
-      Result<DataPtr> value = ctx->symbols().Get(var);
-      if (!value.ok()) {
-        cache->Abort(key);  // conservative: do not cache partial bundles
-        return Status::OK();
-      }
-      values.push_back(std::move(value).ValueOrDie());
-      items.push_back(ctx->lineage().Get(var));
-    }
-    cache->Put(key,
-               std::make_shared<const ListData>(std::move(values),
-                                                std::move(items)),
-               watch.ElapsedSeconds());
-  }
+  LIMA_RETURN_NOT_OK(ExecuteInstructions(ctx));
+  reuse.Put(*ctx, reuse_info_.outputs, watch.ElapsedSeconds());
   return Status::OK();
 }
 
