@@ -49,13 +49,17 @@ if [[ "$SANITIZE" == "thread" ]]; then
   # stamping and cost-planned fusion must stay invisible to 8-worker parfor
   # runs (results, lineage, and cache behavior are compared across worker
   # counts inside those suites).
-  # The persistence battery rides along too: PersistRoundtripTest and
-  # PersistCorruptionTest are single-threaded but cheap, and WarmStartTest
-  # boots real lima_serve daemons (pool workers + snapshot writer + client
-  # threads) — exactly the cross-thread traffic TSan should watch. Under
-  # ASan the full suite runs, which is what makes the corruption fuzz an
-  # ASan gate (ISSUE acceptance: fail closed, never read out of bounds).
-  TSAN_TESTS='^(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ParallelBudgetTest|ServeTest|RedundancyTest|FusionTest|PersistRoundtripTest|PersistCorruptionTest|WarmStartTest)\.'
+  # The persistence battery rides along too: PersistRoundtripTest,
+  # PersistRoundtripExtrasTest, PersistCorruptionTest,
+  # PersistCorruptionTargetedTest and SnapshotCorruptionTest (the
+  # LoadCacheSnapshot/ImportSnapshot path) are single-threaded but cheap,
+  # and WarmStartTest boots real lima_serve daemons (pool workers +
+  # snapshot writer + client threads) — exactly the cross-thread traffic
+  # TSan should watch. gtest names instantiated suites Instance/Suite.Case
+  # (Grid/PersistRoundtripTest.*), hence the optional prefix. Under ASan
+  # the full suite runs, which is what makes the corruption fuzz an ASan
+  # gate: it must fail closed and never read out of bounds.
+  TSAN_TESTS='^([A-Za-z0-9_]+/)?(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ParallelBudgetTest|ServeTest|RedundancyTest|FusionTest|PersistRoundtripTest|PersistRoundtripExtrasTest|PersistCorruptionTest|PersistCorruptionTargetedTest|SnapshotCorruptionTest|WarmStartTest)\.'
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     --tests-regex "$TSAN_TESTS"
 else
