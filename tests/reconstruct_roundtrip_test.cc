@@ -6,14 +6,28 @@
 // other: adding a reusable opcode without a replay script here fails
 // CatalogCoverageIsExhaustive, and adding one without a factory builder
 // fails the verifier's replay-uncovered diagnostic.
+//
+// Every scenario's value is also pinned by a digest (rows, cols and each
+// double's bit pattern; scalars by their lineage-literal encoding) in
+// tests/golden/kernels.golden, together with the factory-built opcodes
+// outside the reusable set and the error text of failing kernel calls, so
+// a refactor of the instruction layer must leave every kernel's output
+// byte-identical. Regenerate with
+//   LIMA_GOLDEN_WRITE=1 ./reconstruct_roundtrip_test
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "analysis/opcode_registry.h"
+#include "common/hash.h"
 #include "lang/session.h"
 #include "lineage/serialize.h"
 #include "runtime/instruction_factory.h"
@@ -150,6 +164,75 @@ void ExpectValuesEqual(const DataPtr& original, const DataPtr& recomputed) {
   }
 }
 
+// ---- Kernel goldens ------------------------------------------------------
+
+std::string HexDigest(const std::string& text) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(HashBytes(text)));
+  return buf;
+}
+
+/// The digested form of a value: a matrix's shape and the bit pattern of
+/// every cell, or a scalar's lineage-literal encoding.
+std::string ValueText(const DataPtr& value) {
+  if (value->type() != DataType::kMatrix) {
+    return "S " + AsScalar(value)->EncodeLineageLiteral();
+  }
+  MatrixPtr m = *AsMatrix(value);
+  std::string text =
+      "M " + std::to_string(m->rows()) + " " + std::to_string(m->cols());
+  for (int64_t i = 0; i < m->size(); ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, m->data() + i, sizeof(bits));
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), " %016llx",
+                  static_cast<unsigned long long>(bits));
+    text += buf;
+  }
+  return text;
+}
+
+const std::string& KernelGoldenPath() {
+  static const std::string path =
+      std::string(LIMA_SOURCE_DIR) + "/tests/golden/kernels.golden";
+  return path;
+}
+
+/// "<key> <digest>" lines of the golden file, keyed by case.
+std::map<std::string, std::string> ReadKernelGolden() {
+  std::map<std::string, std::string> lines;
+  std::ifstream in(KernelGoldenPath());
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t space = line.rfind(' ');
+    if (space != std::string::npos) {
+      lines[line.substr(0, space)] = line.substr(space + 1);
+    }
+  }
+  return lines;
+}
+
+/// Checks `text`'s digest against the golden line of `key`; under
+/// LIMA_GOLDEN_WRITE it records the digest instead.
+void ExpectKernelGolden(const std::string& key, const std::string& text) {
+  std::map<std::string, std::string> lines = ReadKernelGolden();
+  const std::string digest = HexDigest(text);
+  if (std::getenv("LIMA_GOLDEN_WRITE") != nullptr) {
+    lines[key] = digest;
+    std::ofstream out(KernelGoldenPath());
+    for (const auto& [k, d] : lines) out << k << " " << d << "\n";
+    return;
+  }
+  auto it = lines.find(key);
+  ASSERT_NE(it, lines.end())
+      << "no golden digest for '" << key << "' in " << KernelGoldenPath()
+      << " (regenerate with LIMA_GOLDEN_WRITE=1)";
+  EXPECT_EQ(it->second, digest)
+      << key << ": kernel output changed; its digested text was\n"
+      << text.substr(0, 400);
+}
+
 /// Serializes `item`, parses it back, reconstructs a program via the
 /// instruction factory, executes it in a fresh session, and returns the
 /// replayed value of the reconstruction's output variable.
@@ -199,6 +282,94 @@ TEST(ReconstructRoundtripTest, EveryReusableOpcodeRoundtrips) {
     ASSERT_NE(recomputed, nullptr);
     DataPtr original = *session.context()->symbols().Get(c.var);
     ExpectValuesEqual(original, recomputed);
+    ExpectKernelGolden(std::string(c.opcode) + ":" + c.var,
+                       ValueText(original));
+  }
+}
+
+// Factory-built opcodes outside the reusable set, digested only (they are
+// not replay targets). `key` names the golden line; the scenario must trace
+// `opcode` in the lineage of `var`.
+struct DigestCase {
+  const char* key;
+  const char* opcode;
+  const char* script;
+  const char* var;
+};
+
+#define PRELUDE                         \
+  "X = rand(rows=6, cols=5, seed=1);\n" \
+  "Y = rand(rows=6, cols=5, seed=2);\n"
+
+const DigestCase kDigestCases[] = {
+    {"nrow", "nrow", PRELUDE "r = nrow(X);", "r"},
+    {"ncol", "ncol", PRELUDE "r = ncol(X);", "r"},
+    {"length.matrix", "length", PRELUDE "r = length(X);", "r"},
+    {"length.list", "length", PRELUDE "l = list(X, Y, 3);\nr = length(l);",
+     "r"},
+    {"castdts", "castdts", PRELUDE "r = as.scalar(X[2:2, 3:3]);", "r"},
+    {"castsdm", "castsdm", "r = as.matrix(3.5);", "r"},
+    {"toString", "toString", PRELUDE "r = toString(X[1:2, 1:3]);", "r"},
+    {"rand.uniform", "rand",
+     "r = rand(rows=4, cols=3, min=-1, max=2, seed=9);", "r"},
+    {"rand.normal", "rand", "r = rand(rows=4, cols=3, pdf=\"normal\", seed=9);",
+     "r"},
+    {"sample", "sample", "r = sample(20, 6, 5);", "r"},
+    {"seq", "seq", "r = seq(2, 11, 3);", "r"},
+    {"fill.scalar", "fill", "r = matrix(2.5, rows=3, cols=2);", "r"},
+    {"fill.reshape", "fill", PRELUDE "r = matrix(X, rows=10, cols=3);", "r"},
+    // The temporary X + Y dies at its only reader, so these run in place.
+    {"inplace.binary", "*", PRELUDE "r = (X + Y) * 2;", "r"},
+    {"inplace.unary", "exp", PRELUDE "r = exp(X + Y);", "r"},
+};
+
+#undef PRELUDE
+
+TEST(ReconstructRoundtripTest, NonReusableKernelsMatchGolden) {
+  for (const DigestCase& c : kDigestCases) {
+    SCOPED_TRACE(std::string("case: ") + c.key);
+    LimaSession session(LimaConfig::TracingOnly());
+    Status status = session.Run(c.script);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    LineageItemPtr item = session.GetLineageItem(c.var);
+    ASSERT_NE(item, nullptr);
+    ASSERT_TRUE(LineageContains(item, InternOpcode(c.opcode)))
+        << "scenario never traced its opcode:\n"
+        << SerializeLineage(item);
+    if (std::strncmp(c.key, "inplace.", 8) == 0) {
+      EXPECT_GT(session.stats()->inplace_ops.load(), 0)
+          << "the in-place branch did not run";
+    }
+    ExpectKernelGolden(c.key,
+                       ValueText(*session.context()->symbols().Get(c.var)));
+  }
+}
+
+// The error text of failing kernel calls is part of the output contract.
+TEST(ReconstructRoundtripTest, KernelErrorTextMatchesGolden) {
+  struct ErrorCase {
+    const char* key;
+    const char* opcode;
+    std::vector<Operand> operands;
+  };
+  const ErrorCase cases[] = {
+      {"error.as.scalar", "castdts", {Operand::Var("X")}},
+      {"error.rightindex",
+       "rightindex",
+       {Operand::Var("X"), Operand::LitInt(1), Operand::LitInt(9),
+        Operand::LitInt(1), Operand::LitInt(2)}},
+      {"error.solve", "solve", {Operand::Var("X"), Operand::LitDouble(1.0)}},
+  };
+  for (const ErrorCase& c : cases) {
+    SCOPED_TRACE(std::string("case: ") + c.key);
+    LimaSession session(LimaConfig::TracingOnly());
+    session.BindMatrix("X", Matrix(4, 6, 2.5));
+    Result<std::unique_ptr<Instruction>> instruction =
+        MakeInstruction(c.opcode, c.operands, {"out"});
+    ASSERT_TRUE(instruction.ok()) << instruction.status().ToString();
+    Status status = (*instruction)->Execute(session.context());
+    ASSERT_FALSE(status.ok());
+    ExpectKernelGolden(c.key, status.ToString());
   }
 }
 
