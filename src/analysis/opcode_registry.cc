@@ -579,60 +579,10 @@ ShapeRuleResult ReadFileRule(const OpcodeEffect& effect,
   return Out(ShapeInfo::Matrix(Dim::Unknown(), Dim::Unknown()));
 }
 
-void AttachShapeRules(std::vector<OpcodeEffect>* ops) {
-  static const std::unordered_map<std::string_view, ShapeRuleFn> kRules = {
-      {"+", EwiseBinaryRule},     {"-", EwiseBinaryRule},
-      {"*", EwiseBinaryRule},     {"/", EwiseBinaryRule},
-      {"^", EwiseBinaryRule},     {"min", EwiseBinaryRule},
-      {"max", EwiseBinaryRule},   {"==", EwiseBinaryRule},
-      {"!=", EwiseBinaryRule},    {"<", EwiseBinaryRule},
-      {">", EwiseBinaryRule},     {"<=", EwiseBinaryRule},
-      {">=", EwiseBinaryRule},    {"&", EwiseBinaryRule},
-      {"|", EwiseBinaryRule},     {"%%", EwiseBinaryRule},
-      {"%/%", EwiseBinaryRule},   {"ifelse", CellwiseFoldRule},
-      {"fused", CellwiseFoldRule},
-      {"exp", EwiseUnaryRule},    {"log", EwiseUnaryRule},
-      {"sqrt", EwiseUnaryRule},   {"abs", EwiseUnaryRule},
-      {"round", EwiseUnaryRule},  {"floor", EwiseUnaryRule},
-      {"ceil", EwiseUnaryRule},   {"sign", EwiseUnaryRule},
-      {"uminus", EwiseUnaryRule}, {"!", EwiseUnaryRule},
-      {"sigmoid", EwiseUnaryRule},
-      {"sum", AggregateRule},     {"mean", AggregateRule},
-      {"ua_min", AggregateRule},  {"ua_max", AggregateRule},
-      {"trace", AggregateRule},   {"colSums", AggregateRule},
-      {"colMeans", AggregateRule},{"colMins", AggregateRule},
-      {"colMaxs", AggregateRule}, {"colVars", AggregateRule},
-      {"rowSums", AggregateRule}, {"rowMeans", AggregateRule},
-      {"rowMins", AggregateRule}, {"rowMaxs", AggregateRule},
-      {"rowIndexMax", AggregateRule},
-      {"mm", MatMulRule},         {"tsmm", TsmmRule},
-      {"tmm", TmmRule},           {"solve", SolveRule},
-      {"cholesky", CholeskyRule}, {"eigen", EigenRule},
-      {"tsmm_cbind", TsmmCbindRule},
-      {"t", TransposeRule},       {"rev", SameShapeRule},
-      {"diag", DiagRule},         {"reshape", ReshapeRule},
-      {"cbind", AppendRule},      {"rbind", AppendRule},
-      {"rightindex", RightIndexRule}, {"leftindex", LeftIndexRule},
-      {"selcols", SelectRule},    {"selrows", SelectRule},
-      {"table", TableRule},       {"order", OrderRule},
-      {"nrow", MetaScalarRule},   {"ncol", MetaScalarRule},
-      {"length", MetaScalarRule}, {"castdts", CastToScalarRule},
-      {"castsdm", CastToMatrixRule}, {"toString", ScalarResultRule},
-      {"rand", RandRule},         {"sample", SampleRule},
-      {"seq", SeqRule},           {"fill", FillRule},
-      {"list", ListRule},         {"listidx", ListIndexRule},
-      {"readfile", ReadFileRule}, {"lineageof", ScalarResultRule},
-  };
-  for (OpcodeEffect& effect : *ops) {
-    auto it = kRules.find(effect.opcode);
-    if (it != kRules.end()) effect.shape_rule = it->second;
-  }
-}
-
 // Builders keep the table below readable; every field deviation from the
 // category default is spelled out at the entry.
 OpcodeEffect Compute(const char* op, int inputs, bool reusable,
-                     int outputs = 1) {
+                     ShapeRuleFn rule, int outputs = 1) {
   OpcodeEffect e;
   e.opcode = op;
   e.category = Cat::kCompute;
@@ -640,16 +590,19 @@ OpcodeEffect Compute(const char* op, int inputs, bool reusable,
   e.max_inputs = inputs;
   e.num_outputs = outputs;
   e.reusable = reusable;
+  e.shape_rule = rule;
   return e;
 }
 
-OpcodeEffect DataGen(const char* op, int inputs, bool deterministic) {
+OpcodeEffect DataGen(const char* op, int inputs, bool deterministic,
+                     ShapeRuleFn rule) {
   OpcodeEffect e;
   e.opcode = op;
   e.category = Cat::kDataGen;
   e.min_inputs = inputs;
   e.max_inputs = inputs;
   e.deterministic = deterministic;
+  e.shape_rule = rule;
   return e;
 }
 
@@ -671,16 +624,16 @@ std::vector<OpcodeEffect> BuildRegistry() {
   // --- Elementwise binary (BinaryOpName) -------------------------------
   for (const char* op : {"+", "-", "*", "/", "^", "min", "max", "==", "!=",
                          "<", ">", "<=", ">=", "&", "|", "%%", "%/%"}) {
-    ops.push_back(Compute(op, 2, /*reusable=*/true));
+    ops.push_back(Compute(op, 2, /*reusable=*/true, EwiseBinaryRule));
   }
   // Cell-wise ternary; counted with the binaries in the default reusable
   // set (Sec. 4.1).
-  ops.push_back(Compute("ifelse", 3, /*reusable=*/true));
+  ops.push_back(Compute("ifelse", 3, /*reusable=*/true, CellwiseFoldRule));
 
   // --- Elementwise unary (UnaryOpName) ---------------------------------
   for (const char* op : {"exp", "log", "sqrt", "abs", "round", "floor",
                          "ceil", "sign", "uminus", "!", "sigmoid"}) {
-    ops.push_back(Compute(op, 1, /*reusable=*/true));
+    ops.push_back(Compute(op, 1, /*reusable=*/true, EwiseUnaryRule));
   }
 
   // --- Aggregates ------------------------------------------------------
@@ -688,43 +641,46 @@ std::vector<OpcodeEffect> BuildRegistry() {
        {"sum", "mean", "ua_min", "ua_max", "trace", "colSums", "colMeans",
         "colMins", "colMaxs", "colVars", "rowSums", "rowMeans", "rowMins",
         "rowMaxs", "rowIndexMax"}) {
-    ops.push_back(Compute(op, 1, /*reusable=*/true));
+    ops.push_back(Compute(op, 1, /*reusable=*/true, AggregateRule));
   }
 
   // --- Matrix multiplications and factorizations -----------------------
-  ops.push_back(Compute("mm", 2, /*reusable=*/true));
-  ops.push_back(Compute("tsmm", 1, /*reusable=*/true));
+  ops.push_back(Compute("mm", 2, /*reusable=*/true, MatMulRule));
+  ops.push_back(Compute("tsmm", 1, /*reusable=*/true, TsmmRule));
   // Legacy SystemDS opcode (X %*% t(X)) kept in the reusable set for
   // lineage-log compatibility; replayable via the instruction factory even
   // though no current compiler rewrite emits it.
-  ops.push_back(Compute("tmm", 1, /*reusable=*/true));
-  ops.push_back(Compute("solve", 2, /*reusable=*/true));
-  ops.push_back(Compute("cholesky", 1, /*reusable=*/true));
-  ops.push_back(Compute("eigen", 1, /*reusable=*/true, /*outputs=*/2));
+  ops.push_back(Compute("tmm", 1, /*reusable=*/true, TmmRule));
+  ops.push_back(Compute("solve", 2, /*reusable=*/true, SolveRule));
+  ops.push_back(Compute("cholesky", 1, /*reusable=*/true, CholeskyRule));
+  ops.push_back(
+      Compute("eigen", 1, /*reusable=*/true, EigenRule, /*outputs=*/2));
   {
     // Traces as tsmm(cbind(A, B)) — never as a "tsmm_cbind" lineage node.
-    OpcodeEffect tsmm_cbind = Compute("tsmm_cbind", 2, /*reusable=*/true);
+    OpcodeEffect tsmm_cbind =
+        Compute("tsmm_cbind", 2, /*reusable=*/true, TsmmCbindRule);
     tsmm_cbind.lineage_transparent = true;
     ops.push_back(tsmm_cbind);
   }
 
   // --- Reorganizations and indexing ------------------------------------
-  ops.push_back(Compute("t", 1, /*reusable=*/true));
-  ops.push_back(Compute("rev", 1, /*reusable=*/true));
-  ops.push_back(Compute("diag", 1, /*reusable=*/true));
-  ops.push_back(Compute("reshape", 3, /*reusable=*/true));
-  ops.push_back(Compute("cbind", 2, /*reusable=*/true));
-  ops.push_back(Compute("rbind", 2, /*reusable=*/true));
-  ops.push_back(Compute("rightindex", 5, /*reusable=*/true));
-  ops.push_back(Compute("leftindex", 6, /*reusable=*/true));
-  ops.push_back(Compute("selcols", 2, /*reusable=*/true));
-  ops.push_back(Compute("selrows", 2, /*reusable=*/true));
-  ops.push_back(Compute("table", 4, /*reusable=*/true));
-  ops.push_back(Compute("order", 3, /*reusable=*/true));
+  ops.push_back(Compute("t", 1, /*reusable=*/true, TransposeRule));
+  ops.push_back(Compute("rev", 1, /*reusable=*/true, SameShapeRule));
+  ops.push_back(Compute("diag", 1, /*reusable=*/true, DiagRule));
+  ops.push_back(Compute("reshape", 3, /*reusable=*/true, ReshapeRule));
+  ops.push_back(Compute("cbind", 2, /*reusable=*/true, AppendRule));
+  ops.push_back(Compute("rbind", 2, /*reusable=*/true, AppendRule));
+  ops.push_back(Compute("rightindex", 5, /*reusable=*/true, RightIndexRule));
+  ops.push_back(Compute("leftindex", 6, /*reusable=*/true, LeftIndexRule));
+  ops.push_back(Compute("selcols", 2, /*reusable=*/true, SelectRule));
+  ops.push_back(Compute("selrows", 2, /*reusable=*/true, SelectRule));
+  ops.push_back(Compute("table", 4, /*reusable=*/true, TableRule));
+  ops.push_back(Compute("order", 3, /*reusable=*/true, OrderRule));
 
   // --- Fused operators (Sec. 3.3): variadic operands, one output -------
   {
-    OpcodeEffect fused = Compute("fused", -1, /*reusable=*/true);
+    OpcodeEffect fused =
+        Compute("fused", -1, /*reusable=*/true, CellwiseFoldRule);
     fused.min_inputs = 1;
     fused.max_inputs = -1;
     // Traces as the per-step unfused items — never as a "fused" node.
@@ -733,20 +689,20 @@ std::vector<OpcodeEffect> BuildRegistry() {
   }
 
   // --- Non-reusable compute: metadata, casts, rendering ----------------
-  ops.push_back(Compute("nrow", 1, /*reusable=*/false));
-  ops.push_back(Compute("ncol", 1, /*reusable=*/false));
-  ops.push_back(Compute("length", 1, /*reusable=*/false));
-  ops.push_back(Compute("castdts", 1, /*reusable=*/false));
-  ops.push_back(Compute("castsdm", 1, /*reusable=*/false));
-  ops.push_back(Compute("toString", 1, /*reusable=*/false));
+  ops.push_back(Compute("nrow", 1, /*reusable=*/false, MetaScalarRule));
+  ops.push_back(Compute("ncol", 1, /*reusable=*/false, MetaScalarRule));
+  ops.push_back(Compute("length", 1, /*reusable=*/false, MetaScalarRule));
+  ops.push_back(Compute("castdts", 1, /*reusable=*/false, CastToScalarRule));
+  ops.push_back(Compute("castsdm", 1, /*reusable=*/false, CastToMatrixRule));
+  ops.push_back(Compute("toString", 1, /*reusable=*/false, ScalarResultRule));
 
   // --- Data generators -------------------------------------------------
   // rand/sample may draw a system seed (seed operand -1); instances with a
   // literal seed refine this via Instruction::IsDeterministic.
-  ops.push_back(DataGen("rand", 7, /*deterministic=*/false));
-  ops.push_back(DataGen("sample", 3, /*deterministic=*/false));
-  ops.push_back(DataGen("seq", 3, /*deterministic=*/true));
-  ops.push_back(DataGen("fill", 3, /*deterministic=*/true));
+  ops.push_back(DataGen("rand", 7, /*deterministic=*/false, RandRule));
+  ops.push_back(DataGen("sample", 3, /*deterministic=*/false, SampleRule));
+  ops.push_back(DataGen("seq", 3, /*deterministic=*/true, SeqRule));
+  ops.push_back(DataGen("fill", 3, /*deterministic=*/true, FillRule));
 
   // --- Lists -----------------------------------------------------------
   {
@@ -755,6 +711,7 @@ std::vector<OpcodeEffect> BuildRegistry() {
     list.category = Cat::kData;
     list.min_inputs = 0;
     list.max_inputs = -1;
+    list.shape_rule = ListRule;
     ops.push_back(list);
   }
   {
@@ -763,6 +720,7 @@ std::vector<OpcodeEffect> BuildRegistry() {
     listidx.category = Cat::kData;
     listidx.min_inputs = 2;
     listidx.max_inputs = 2;
+    listidx.shape_rule = ListIndexRule;
     ops.push_back(listidx);
   }
 
@@ -808,6 +766,7 @@ std::vector<OpcodeEffect> BuildRegistry() {
     read.category = Cat::kIo;
     read.min_inputs = 1;
     read.max_inputs = 1;
+    read.shape_rule = ReadFileRule;
     // Files are immutable (Sec. 3.4): reads are pure given the path.
     ops.push_back(read);
   }
@@ -852,10 +811,10 @@ std::vector<OpcodeEffect> BuildRegistry() {
     lineageof.category = Cat::kDiagnostic;
     lineageof.min_inputs = 1;
     lineageof.max_inputs = 1;
+    lineageof.shape_rule = ScalarResultRule;
     ops.push_back(lineageof);
   }
 
-  AttachShapeRules(&ops);
   return ops;
 }
 

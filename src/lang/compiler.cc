@@ -12,8 +12,8 @@
 #include "reuse/compiler_assist.h"
 #include "runtime/analysis.h"
 #include "runtime/instruction_factory.h"
-#include "runtime/instructions_compute.h"
 #include "runtime/instructions_misc.h"
+#include "runtime/kernels.h"
 
 namespace lima {
 
@@ -21,23 +21,6 @@ namespace {
 
 bool IsTemp(const std::string& name) {
   return name.size() >= 2 && name[0] == '_' && name[1] == 't';
-}
-
-struct BinaryOpInfo {
-  BinaryOp op;
-};
-
-const std::unordered_map<std::string, BinaryOp>& BinaryOpsByText() {
-  static const auto* kMap = new std::unordered_map<std::string, BinaryOp>{
-      {"+", BinaryOp::kAdd},   {"-", BinaryOp::kSub},
-      {"*", BinaryOp::kMul},   {"/", BinaryOp::kDiv},
-      {"^", BinaryOp::kPow},   {"==", BinaryOp::kEq},
-      {"!=", BinaryOp::kNeq},  {"<", BinaryOp::kLt},
-      {">", BinaryOp::kGt},    {"<=", BinaryOp::kLe},
-      {">=", BinaryOp::kGe},   {"&", BinaryOp::kAnd},
-      {"|", BinaryOp::kOr},    {"%%", BinaryOp::kMod},
-      {"%/%", BinaryOp::kIntDiv}};
-  return *kMap;
 }
 
 const std::unordered_map<std::string, UnaryOp>& UnaryBuiltins() {
@@ -111,15 +94,14 @@ class Compiler {
       AttachStaticPlan(program_.get(), redundancy);
     }
     if (config_.operator_fusion) {
+      // Without the analysis there are no facts: every eligible link fuses.
+      FusionPlanningContext fusion_ctx;
       if (config_.redundancy_check) {
-        FusionPlanningContext fusion_ctx;
         fusion_ctx.analysis = &redundancy;
-        fusion_ctx.reuse_enabled = config_.reuse_enabled();
         fusion_ctx.plan = program_->mutable_static_plan();
-        ApplyOperatorFusion(program_.get(), fusion_ctx);
-      } else {
-        ApplyOperatorFusion(program_.get());
       }
+      fusion_ctx.reuse_enabled = config_.reuse_enabled();
+      ApplyOperatorFusion(program_.get(), fusion_ctx);
     }
     if (config_.reuse_enabled()) {
       // Unmarking runs whenever reuse is on: loop-carried intermediates are
@@ -303,8 +285,8 @@ class Compiler {
       LIMA_ASSIGN_OR_RETURN(Operand rhs, CompileExpr(*expr.rhs));
       return EmitOp("mm", {std::move(lhs), std::move(rhs)});
     }
-    auto it = BinaryOpsByText().find(expr.text);
-    if (it == BinaryOpsByText().end()) {
+    BinaryOp op;
+    if (!ParseBinaryOp(expr.text, &op)) {
       return Status::CompileError("unknown operator: " + expr.text);
     }
     LIMA_ASSIGN_OR_RETURN(Operand lhs, CompileExpr(*expr.lhs));
@@ -312,7 +294,7 @@ class Compiler {
     // Scalar constant folding.
     if (lhs.is_literal && rhs.is_literal) {
       Result<ScalarValue> folded =
-          ScalarBinary(it->second, lhs.literal, rhs.literal);
+          ScalarBinary(op, lhs.literal, rhs.literal);
       if (folded.ok()) return Operand::Lit(std::move(folded).ValueOrDie());
     }
     // Binary operator spellings are their opcode names.

@@ -8,39 +8,31 @@
 #include "analysis/cost_model.h"
 #include "runtime/block_visitor.h"
 #include "runtime/fused_op.h"
-#include "runtime/instructions_compute.h"
 #include "runtime/instructions_misc.h"
 
 namespace lima {
 
 namespace {
 
-bool IsCellwiseBinary(const Instruction& instruction, BinaryOp* op) {
-  static const std::unordered_map<std::string, BinaryOp>* kOps =
-      new std::unordered_map<std::string, BinaryOp>{
-          {"+", BinaryOp::kAdd}, {"-", BinaryOp::kSub},
-          {"*", BinaryOp::kMul}, {"/", BinaryOp::kDiv},
-          {"^", BinaryOp::kPow}, {"min", BinaryOp::kMin},
-          {"max", BinaryOp::kMax}};
-  auto it = kOps->find(instruction.opcode());
-  if (it == kOps->end()) return false;
-  *op = it->second;
-  return true;
+/// The fusable subset of the cell-wise operators: arithmetic plus min/max
+/// binaries (comparisons and logical operators stay unfused), and every
+/// unary except logical negation.
+bool IsFusable(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub:
+    case BinaryOp::kMul:
+    case BinaryOp::kDiv:
+    case BinaryOp::kPow:
+    case BinaryOp::kMin:
+    case BinaryOp::kMax:
+      return true;
+    default:
+      return false;
+  }
 }
 
-bool IsCellwiseUnary(const Instruction& instruction, UnaryOp* op) {
-  static const std::unordered_map<std::string, UnaryOp>* kOps =
-      new std::unordered_map<std::string, UnaryOp>{
-          {"exp", UnaryOp::kExp},       {"log", UnaryOp::kLog},
-          {"sqrt", UnaryOp::kSqrt},     {"abs", UnaryOp::kAbs},
-          {"round", UnaryOp::kRound},   {"floor", UnaryOp::kFloor},
-          {"ceil", UnaryOp::kCeil},     {"sign", UnaryOp::kSign},
-          {"uminus", UnaryOp::kNeg},    {"sigmoid", UnaryOp::kSigmoid}};
-  auto it = kOps->find(instruction.opcode());
-  if (it == kOps->end()) return false;
-  *op = it->second;
-  return true;
-}
+bool IsFusable(UnaryOp op) { return op != UnaryOp::kNot; }
 
 bool IsTempVar(const std::string& name) {
   return name.size() >= 2 && name[0] == '_' && name[1] == 't';
@@ -172,18 +164,16 @@ bool WritesOrFrees(const Instruction& instr, const std::string& name) {
   return false;
 }
 
-void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
-                        const std::string& scope, const std::string& loc) {
+void FuseBlock(BasicBlock* block, const FusionPlanningContext& ctx,
+               const std::string& scope, const std::string& loc) {
   auto* instructions = block->mutable_instructions();
   const size_t n = instructions->size();
   if (n < 2) return;
 
-  const RedundancyAnalysis* analysis =
-      ctx != nullptr ? ctx->analysis : nullptr;
   const auto fact_of = [&](size_t idx) -> const InstrStaticFact* {
-    return analysis == nullptr
+    return ctx.analysis == nullptr
                ? nullptr
-               : analysis->FindFact((*instructions)[idx].get());
+               : ctx.analysis->FindFact((*instructions)[idx].get());
   };
 
   // Use counts of variables across all instruction operands in the block.
@@ -215,7 +205,7 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
   const auto record_rejection = [&](size_t i, const std::string& operand,
                                     const Candidate& src, const char* reason,
                                     const FusionLinkCost& link) {
-    if (ctx == nullptr || ctx->plan == nullptr) return;
+    if (ctx.plan == nullptr) return;
     if (!decided.emplace(i, operand).second) return;
     StaticFusionSite site;
     site.function = scope;
@@ -227,7 +217,7 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
     site.decision = reason;
     site.predicted_saving_nanos = link.saving_nanos;
     site.saved_bytes = link.saved_bytes;
-    ctx->plan->fusion_sites.push_back(std::move(site));
+    ctx.plan->fusion_sites.push_back(std::move(site));
   };
 
   std::vector<Candidate> candidates(n);
@@ -237,32 +227,24 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
   for (size_t i = 0; i < n; ++i) {
     Instruction* instruction = (*instructions)[i].get();
     Candidate& cand = candidates[i];
-    BinaryOp bop;
-    UnaryOp uop;
-    if (IsCellwiseBinary(*instruction, &bop)) {
-      const auto* binary = static_cast<const BinaryInstruction*>(instruction);
-      cand.cellwise = true;
-      cand.operands = binary->operands();
-      FusedStep step;
+    FusedStep step;
+    if (ParseBinaryOp(instruction->opcode(), &step.bop) &&
+        IsFusable(step.bop)) {
       step.is_binary = true;
-      step.bop = bop;
-      step.lhs = FusedStep::Src::OperandRef(0);
       step.rhs = FusedStep::Src::OperandRef(1);
-      cand.steps.push_back(step);
-      cand.output = binary->OutputVars()[0];
-    } else if (IsCellwiseUnary(*instruction, &uop)) {
-      const auto* unary = static_cast<const UnaryInstruction*>(instruction);
-      cand.cellwise = true;
-      cand.operands = unary->operands();
-      FusedStep step;
+    } else if (ParseUnaryOp(instruction->opcode(), &step.uop) &&
+               IsFusable(step.uop)) {
       step.is_binary = false;
-      step.uop = uop;
-      step.lhs = FusedStep::Src::OperandRef(0);
-      cand.steps.push_back(step);
-      cand.output = unary->OutputVars()[0];
     } else {
       continue;
     }
+    const auto* cellwise = static_cast<const ComputationInstruction*>(
+        instruction);
+    cand.cellwise = true;
+    cand.operands = cellwise->operands();
+    step.lhs = FusedStep::Src::OperandRef(0);
+    cand.steps.push_back(step);
+    cand.output = cellwise->OutputVars()[0];
 
     // Inline single-use temp producers into this candidate.
     bool merged = true;
@@ -281,43 +263,41 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
 
         // Cost-based planning: each link must earn its place.
         FusionLinkCost link;
-        if (ctx != nullptr) {
-          const InstrStaticFact* src_fact = fact_of(it->second);
-          const InstrStaticFact* root_fact = fact_of(i);
-          const char* reject = nullptr;
-          if (src_fact != nullptr) {
-            if (src_fact->scalar_output) {
-              // A scalar feeding a cellwise chain is re-evaluated per
-              // output cell once fused; scalar-only chains save nothing.
-              reject = "cost-rejected:scalar";
-            } else if (src_fact->nonuniform ||
-                       (root_fact != nullptr && root_fact->nonuniform)) {
-              // Mixed operand shapes: the fused kernel would take its
-              // materialized stepwise fallback, losing the dedicated
-              // vectorized broadcast kernels.
-              reject = "cost-rejected:broadcast";
-            } else if (ctx->reuse_enabled && src_fact->occurrences > 1) {
-              // The intermediate's value number recurs statically: keep it
-              // materialized so the lineage cache can serve the other
-              // occurrences (CSE beats fusion here).
-              reject = "cost-rejected:cse";
-            } else {
-              // Steps of an already-fused producer were interpreted
-              // anyway; only a plain producer adds interpreter overhead.
-              link = EstimateFusionLink(src_fact->out_cells,
-                                        src.steps.size() == 1 ? 1 : 0);
-              if (!link.profitable) reject = "cost-rejected:unprofitable";
-            }
+        const InstrStaticFact* src_fact = fact_of(it->second);
+        const InstrStaticFact* root_fact = fact_of(i);
+        const char* reject = nullptr;
+        if (src_fact != nullptr) {
+          if (src_fact->scalar_output) {
+            // A scalar feeding a cellwise chain is re-evaluated per
+            // output cell once fused; scalar-only chains save nothing.
+            reject = "cost-rejected:scalar";
+          } else if (src_fact->nonuniform ||
+                     (root_fact != nullptr && root_fact->nonuniform)) {
+            // Mixed operand shapes: the fused kernel would take its
+            // materialized stepwise fallback, losing the dedicated
+            // vectorized broadcast kernels.
+            reject = "cost-rejected:broadcast";
+          } else if (ctx.reuse_enabled && src_fact->occurrences > 1) {
+            // The intermediate's value number recurs statically: keep it
+            // materialized so the lineage cache can serve the other
+            // occurrences (CSE beats fusion here).
+            reject = "cost-rejected:cse";
           } else {
-            link = EstimateFusionLink(-1, 1);  // unknown size: fuse
+            // Steps of an already-fused producer were interpreted
+            // anyway; only a plain producer adds interpreter overhead.
+            link = EstimateFusionLink(src_fact->out_cells,
+                                      src.steps.size() == 1 ? 1 : 0);
+            if (!link.profitable) reject = "cost-rejected:unprofitable";
           }
-          if (reject != nullptr) {
-            record_rejection(i, op.name, src, reject, link);
-            continue;
-          }
-          cand.saving_nanos += link.saving_nanos;
-          cand.saved_bytes += link.saved_bytes;
+        } else {
+          link = EstimateFusionLink(-1, 1);  // unknown size: fuse
         }
+        if (reject != nullptr) {
+          record_rejection(i, op.name, src, reject, link);
+          continue;
+        }
+        cand.saving_nanos += link.saving_nanos;
+        cand.saved_bytes += link.saved_bytes;
 
         // Inline src and redirect references from operand oi to its root.
         src.consumed = true;
@@ -393,7 +373,7 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
         compact(step.lhs);
         if (step.is_binary) compact(step.rhs);
       }
-      if (ctx != nullptr && ctx->plan != nullptr) {
+      if (ctx.plan != nullptr) {
         StaticFusionSite site;
         site.function = scope;
         site.location = loc;
@@ -404,7 +384,7 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
         site.decision = "profitable";
         site.predicted_saving_nanos = cand.saving_nanos;
         site.saved_bytes = cand.saved_bytes;
-        ctx->plan->fusion_sites.push_back(std::move(site));
+        ctx.plan->fusion_sites.push_back(std::move(site));
       }
       auto fused = std::make_unique<FusedInstruction>(
           std::move(compacted), cand.steps, cand.output);
@@ -417,34 +397,24 @@ void FuseBasicBlockImpl(BasicBlock* block, const FusionPlanningContext* ctx,
   *instructions = std::move(rebuilt);
 }
 
-void ApplyFusion(Program* program, const FusionPlanningContext* ctx) {
-  ForEachScope(program, [ctx](std::vector<BlockPtr>& body,
-                              const std::string& scope) {
+}  // namespace
+
+void FuseBasicBlock(BasicBlock* block, const FusionPlanningContext& ctx) {
+  FuseBlock(block, ctx, "main", "(block)");
+}
+
+void ApplyOperatorFusion(Program* program, const FusionPlanningContext& ctx) {
+  ForEachScope(program, [&ctx](std::vector<BlockPtr>& body,
+                               const std::string& scope) {
     struct {
-      const FusionPlanningContext* ctx;
+      const FusionPlanningContext& ctx;
       const std::string& scope;
       void Basic(BasicBlock& block, const std::string& loc) {
-        FuseBasicBlockImpl(&block, ctx, scope, loc);
+        FuseBlock(&block, ctx, scope, loc);
       }
     } fuser{ctx, scope};
     WalkBlocks(body, Predicates::kSkip, fuser, scope);
   });
-}
-
-}  // namespace
-
-void FuseBasicBlock(BasicBlock* block) {
-  FuseBasicBlockImpl(block, nullptr, "main", "(block)");
-}
-
-void FuseBasicBlock(BasicBlock* block, const FusionPlanningContext& ctx) {
-  FuseBasicBlockImpl(block, &ctx, "main", "(block)");
-}
-
-void ApplyOperatorFusion(Program* program) { ApplyFusion(program, nullptr); }
-
-void ApplyOperatorFusion(Program* program, const FusionPlanningContext& ctx) {
-  ApplyFusion(program, &ctx);
 }
 
 }  // namespace lima

@@ -32,15 +32,12 @@ void RandCells(Rng* rng, double* p, int64_t n, double min_value,
 Result<Matrix> Rand(int64_t rows, int64_t cols, double min_value,
                     double max_value, double sparsity, RandPdf pdf,
                     uint64_t seed, const ParallelContext* par) {
-  if (rows < 0 || cols < 0) {
-    return Status::Invalid("rand: negative dimensions");
-  }
+  LIMA_ASSIGN_OR_RETURN(int64_t size, CheckedCellCount(rows, cols, "rand"));
   if (sparsity < 0.0 || sparsity > 1.0) {
     return Status::Invalid("rand: sparsity must be in [0,1]");
   }
   Matrix out(rows, cols);
   double* p = out.mutable_data();
-  int64_t size = out.size();
   if (size <= kRandChunkCells) {
     Rng rng(seed);
     RandCells(&rng, p, size, min_value, max_value, sparsity, pdf);
@@ -62,6 +59,8 @@ Result<Matrix> Sample(int64_t range, int64_t size, uint64_t seed) {
   if (size < 0 || range < size) {
     return Status::Invalid("sample: need 0 <= size <= range");
   }
+  // The draw permutes a pool of `range` values.
+  LIMA_RETURN_NOT_OK(CheckedCellCount(range, 1, "sample").status());
   Rng rng(seed);
   std::vector<int64_t> values = rng.SampleWithoutReplacement(range, size);
   Matrix out(size, 1);
@@ -78,7 +77,10 @@ Result<Matrix> SeqMatrix(double from, double to, double incr) {
   if ((to - from) * incr < 0.0) {
     return Status::Invalid("seq: empty range");
   }
-  int64_t n = static_cast<int64_t>(std::floor((to - from) / incr)) + 1;
+  LIMA_ASSIGN_OR_RETURN(int64_t steps,
+                        CheckedInt64(std::floor((to - from) / incr), "seq"));
+  const int64_t n = steps + 1;
+  LIMA_RETURN_NOT_OK(CheckedCellCount(n, 1, "seq").status());
   Matrix out(n, 1);
   for (int64_t i = 0; i < n; ++i) {
     out.At(i, 0) = from + static_cast<double>(i) * incr;

@@ -103,6 +103,26 @@ const char* UnaryOpName(UnaryOp op) {
   return "?";
 }
 
+bool ParseBinaryOp(std::string_view name, BinaryOp* op) {
+  for (int i = 0; i <= static_cast<int>(BinaryOp::kIntDiv); ++i) {
+    if (name == BinaryOpName(static_cast<BinaryOp>(i))) {
+      *op = static_cast<BinaryOp>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+bool ParseUnaryOp(std::string_view name, UnaryOp* op) {
+  for (int i = 0; i <= static_cast<int>(UnaryOp::kSigmoid); ++i) {
+    if (name == UnaryOpName(static_cast<UnaryOp>(i))) {
+      *op = static_cast<UnaryOp>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
 double ApplyBinary(BinaryOp op, double a, double b) {
   switch (op) {
     case BinaryOp::kAdd:

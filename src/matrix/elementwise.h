@@ -2,6 +2,7 @@
 #define LIMA_MATRIX_ELEMENTWISE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/parallel.h"
 #include "common/result.h"
@@ -47,9 +48,14 @@ enum class UnaryOp {
 };
 
 /// Opcode names as used in runtime instructions and lineage logs
-/// (e.g. "+", "*", "ewise.min", "exp").
+/// (e.g. "+", "*", "min", "exp").
 const char* BinaryOpName(BinaryOp op);
 const char* UnaryOpName(UnaryOp op);
+
+/// The inverses of BinaryOpName/UnaryOpName: the one opcode -> operator
+/// mapping. Return false when `name` names no such operator.
+bool ParseBinaryOp(std::string_view name, BinaryOp* op);
+bool ParseUnaryOp(std::string_view name, UnaryOp* op);
 
 /// Applies `op` to a scalar pair.
 double ApplyBinary(BinaryOp op, double a, double b);

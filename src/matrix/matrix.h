@@ -6,7 +6,19 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
+
 namespace lima {
+
+/// rows * cols for an output sized from operand values: an error naming
+/// `op` when a dimension is negative or the product exceeds what one
+/// matrix can hold (std::vector<double>::max_size()). Computed without
+/// overflow, so hostile dimensions are rejected instead of wrapping.
+Result<int64_t> CheckedCellCount(int64_t rows, int64_t cols, const char* op);
+
+/// `v` rounded to the nearest integer, for user-supplied dimensions and
+/// indices: an error naming `op` when `v` is NaN or outside the int64 range.
+Result<int64_t> CheckedInt64(double v, const char* op);
 
 /// Dense, row-major, double-precision matrix — the LIMA runtime's value type
 /// (the analogue of SystemDS's in-memory MatrixBlock).
@@ -17,7 +29,9 @@ namespace lima {
 /// share across program locations and parfor workers without copying.
 class Matrix {
  public:
-  /// Creates a rows x cols matrix of zeros.
+  /// Creates a rows x cols matrix of zeros. Dimensions must be
+  /// non-negative; a cell count beyond CheckedCellCount's bound throws
+  /// std::bad_alloc like any other failed allocation.
   Matrix(int64_t rows, int64_t cols);
 
   /// Creates a rows x cols matrix filled with `value`.

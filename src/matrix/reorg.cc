@@ -28,6 +28,7 @@ Matrix Transpose(const Matrix& m) {
 Result<Matrix> Diag(const Matrix& m) {
   if (m.cols() == 1) {
     int64_t n = m.rows();
+    LIMA_RETURN_NOT_OK(CheckedCellCount(n, n, "diag").status());
     Matrix out(n, n);
     for (int64_t i = 0; i < n; ++i) out.At(i, i) = m.At(i, 0);
     return out;
@@ -70,7 +71,8 @@ Result<Matrix> RBind(const Matrix& a, const Matrix& b) {
 }
 
 Result<Matrix> Reshape(const Matrix& m, int64_t rows, int64_t cols) {
-  if (rows * cols != m.size()) {
+  LIMA_ASSIGN_OR_RETURN(int64_t cells, CheckedCellCount(rows, cols, "reshape"));
+  if (cells != m.size()) {
     return Status::Invalid("reshape: cell count must be preserved");
   }
   std::vector<double> data(m.data(), m.data() + m.size());
@@ -100,22 +102,36 @@ Result<Matrix> Table(const Matrix& v1, const Matrix& v2, int64_t out_rows,
   if (v1.cols() != 1 || v2.cols() != 1 || v1.rows() != v2.rows()) {
     return Status::Invalid("table: inputs must be equal-length column vectors");
   }
-  int64_t rows = out_rows;
-  int64_t cols = out_cols;
+  // Omitted (non-positive) output dimensions grow to the largest entry.
+  double max_a = static_cast<double>(out_rows);
+  double max_b = static_cast<double>(out_cols);
   for (int64_t i = 0; i < v1.rows(); ++i) {
     double a = v1.At(i, 0);
     double b = v2.At(i, 0);
     if (a < 1 || b < 1 || a != std::floor(a) || b != std::floor(b)) {
       return Status::Invalid("table: entries must be positive integers");
     }
-    if (out_rows <= 0) rows = std::max<int64_t>(rows, static_cast<int64_t>(a));
-    if (out_cols <= 0) cols = std::max<int64_t>(cols, static_cast<int64_t>(b));
+    max_a = std::max(max_a, a);
+    max_b = std::max(max_b, b);
   }
+  int64_t rows = out_rows;
+  int64_t cols = out_cols;
+  if (out_rows <= 0) {
+    LIMA_ASSIGN_OR_RETURN(rows, CheckedInt64(max_a, "table"));
+  }
+  if (out_cols <= 0) {
+    LIMA_ASSIGN_OR_RETURN(cols, CheckedInt64(max_b, "table"));
+  }
+  LIMA_RETURN_NOT_OK(CheckedCellCount(rows, cols, "table").status());
   Matrix out(rows, cols);
   for (int64_t i = 0; i < v1.rows(); ++i) {
-    int64_t r = static_cast<int64_t>(v1.At(i, 0)) - 1;
-    int64_t c = static_cast<int64_t>(v2.At(i, 0)) - 1;
-    if (r < rows && c < cols) out.At(r, c) += 1.0;
+    // Compared as doubles: entries beyond a given dimension are dropped
+    // before any conversion.
+    double a = v1.At(i, 0);
+    double b = v2.At(i, 0);
+    if (a <= static_cast<double>(rows) && b <= static_cast<double>(cols)) {
+      out.At(static_cast<int64_t>(a) - 1, static_cast<int64_t>(b) - 1) += 1.0;
+    }
   }
   return out;
 }

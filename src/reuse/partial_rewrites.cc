@@ -9,6 +9,7 @@
 #include "matrix/matmul.h"
 #include "matrix/reorg.h"
 #include "reuse/lineage_cache.h"
+#include "runtime/kernels.h"
 
 namespace lima {
 
@@ -31,15 +32,6 @@ struct RewriteOps {
   OpcodeId div = InternOpcode("/");
   OpcodeId min = InternOpcode("min");
   OpcodeId max = InternOpcode("max");
-  OpcodeId col_sums = InternOpcode("colSums");
-  OpcodeId col_means = InternOpcode("colMeans");
-  OpcodeId col_mins = InternOpcode("colMins");
-  OpcodeId col_maxs = InternOpcode("colMaxs");
-  OpcodeId col_vars = InternOpcode("colVars");
-  OpcodeId row_sums = InternOpcode("rowSums");
-  OpcodeId row_means = InternOpcode("rowMeans");
-  OpcodeId row_mins = InternOpcode("rowMins");
-  OpcodeId row_maxs = InternOpcode("rowMaxs");
 };
 
 const RewriteOps& Op() {
@@ -472,15 +464,7 @@ DataPtr RewriteEwise(LineageCache* cache, const LineageItemPtr& key,
   Result<Matrix> db = RightIndex(*b, 1, b->rows(), c1 + 1, b->cols());
   if (!da.ok() || !db.ok()) return nullptr;
 
-  // Parse the operator back from the opcode.
-  BinaryOp op = BinaryOp::kMul;
-  const OpcodeId name = key->opcode_id();
-  if (name == Op().add) op = BinaryOp::kAdd;
-  else if (name == Op().sub) op = BinaryOp::kSub;
-  else if (name == Op().div) op = BinaryOp::kDiv;
-  else if (name == Op().min) op = BinaryOp::kMin;
-  else if (name == Op().max) op = BinaryOp::kMax;
-
+  const BinaryOp op = KernelRowOf(key->opcode_id()).binary;
   Result<Matrix> extra = EwiseBinary(op, *da, *db);
   if (!extra.ok()) return nullptr;
   Result<Matrix> out = CBind(*cached, extra.ValueOrDie());
@@ -488,43 +472,26 @@ DataPtr RewriteEwise(LineageCache* cache, const LineageItemPtr& key,
   return MakeMatrixData(std::move(out).ValueOrDie());
 }
 
-bool IsColAgg(OpcodeId op) {
-  return op == Op().col_sums || op == Op().col_means || op == Op().col_mins ||
-         op == Op().col_maxs || op == Op().col_vars;
-}
-
-bool IsRowAgg(OpcodeId op) {
-  return op == Op().row_sums || op == Op().row_means ||
-         op == Op().row_mins || op == Op().row_maxs;
-}
-
-Matrix ApplyAgg(OpcodeId op, const Matrix& m) {
-  if (op == Op().col_sums) return ColSums(m);
-  if (op == Op().col_means) return ColMeans(m);
-  if (op == Op().col_mins) return ColMins(m);
-  if (op == Op().col_maxs) return ColMaxs(m);
-  if (op == Op().col_vars) return ColVars(m);
-  if (op == Op().row_sums) return RowSums(m);
-  if (op == Op().row_means) return RowMeans(m);
-  if (op == Op().row_mins) return RowMins(m);
-  return RowMaxs(m);
-}
-
+/// colAgg(cbind(X, dX)) -> cbind(colAgg(X), colAgg(dX)), and
+/// rowAgg(rbind(X, dX)) -> rbind(rowAgg(X), rowAgg(dX)).
 DataPtr RewriteAgg(LineageCache* cache, const LineageItemPtr& key,
-                   const std::vector<DataPtr>& inputs) {
+                   const AggregateKernel& agg,
+                   const std::vector<DataPtr>& inputs,
+                   const ParallelContext* par) {
   const OpcodeId op = key->opcode_id();
   const LineageItemPtr& composed = key->inputs()[0];
   MatrixPtr z = InputMatrix(inputs[0]);
   if (z == nullptr) return nullptr;
 
-  if (IsColAgg(op) && composed->opcode_id() == Op().cbind) {
+  if (agg.axis == AggregateAxis::kCols &&
+      composed->opcode_id() == Op().cbind) {
     MatrixPtr cached = PeekMatrix(
         cache, LineageItem::Create(op, {composed->inputs()[0]}));
     if (cached == nullptr || cached->cols() >= z->cols()) return nullptr;
     int64_t c1 = cached->cols();
     Result<Matrix> rest = RightIndex(*z, 1, z->rows(), c1 + 1, z->cols());
     if (!rest.ok()) return nullptr;
-    Matrix extra = ApplyAgg(op, rest.ValueOrDie());
+    Matrix extra = agg.partial(rest.ValueOrDie(), par);
     PutMatrix(cache, LineageItem::Create(op, {composed->inputs()[1]}), extra,
               0.0);
     Result<Matrix> out = CBind(*cached, extra);
@@ -532,14 +499,15 @@ DataPtr RewriteAgg(LineageCache* cache, const LineageItemPtr& key,
     return MakeMatrixData(std::move(out).ValueOrDie());
   }
 
-  if (IsRowAgg(op) && composed->opcode_id() == Op().rbind) {
+  if (agg.axis == AggregateAxis::kRows &&
+      composed->opcode_id() == Op().rbind) {
     MatrixPtr cached = PeekMatrix(
         cache, LineageItem::Create(op, {composed->inputs()[0]}));
     if (cached == nullptr || cached->rows() >= z->rows()) return nullptr;
     int64_t r1 = cached->rows();
     Result<Matrix> rest = RightIndex(*z, r1 + 1, z->rows(), 1, z->cols());
     if (!rest.ok()) return nullptr;
-    Matrix extra = ApplyAgg(op, rest.ValueOrDie());
+    Matrix extra = agg.partial(rest.ValueOrDie(), par);
     PutMatrix(cache, LineageItem::Create(op, {composed->inputs()[1]}), extra,
               0.0);
     Result<Matrix> out = RBind(*cached, extra);
@@ -565,8 +533,10 @@ DataPtr TryPartialRewrites(LineageCache* cache, const LineageItemPtr& key,
   if (IsCellwiseOpcode(op) && inputs.size() == 2) {
     return RewriteEwise(cache, key, inputs);
   }
-  if ((IsColAgg(op) || IsRowAgg(op)) && inputs.size() == 1) {
-    return RewriteAgg(cache, key, inputs);
+  const AggregateKernel* agg = KernelRowOf(op).aggregate;
+  if (agg != nullptr && agg->axis != AggregateAxis::kFull &&
+      inputs.size() == 1) {
+    return RewriteAgg(cache, key, *agg, inputs, par);
   }
   return nullptr;
 }

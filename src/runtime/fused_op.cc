@@ -11,7 +11,7 @@ namespace lima {
 FusedInstruction::FusedInstruction(std::vector<Operand> operands,
                                    std::vector<FusedStep> steps,
                                    std::string output)
-    : ComputationInstruction("fused", std::move(operands),
+    : ComputationInstruction(InternOpcode("fused"), std::move(operands),
                              {std::move(output)}),
       steps_(std::move(steps)) {
   LIMA_CHECK(!steps_.empty());
@@ -28,9 +28,8 @@ std::string FusedInstruction::ToString() const {
 }
 
 std::vector<LineageItemPtr> FusedInstruction::BuildLineage(
-    ExecutionContext* ctx, const std::vector<LineageItemPtr>& input_items,
+    const std::vector<LineageItemPtr>& input_items,
     const ExecState& state) const {
-  (void)ctx;
   (void)state;
   // Expand the compile-time lineage patch: one item per fused step, so the
   // trace equals unfused execution (Sec. 3.3).

@@ -50,7 +50,7 @@ class FusedInstruction : public ComputationInstruction {
                                        const ExecState& state) const override;
 
   std::vector<LineageItemPtr> BuildLineage(
-      ExecutionContext* ctx, const std::vector<LineageItemPtr>& input_items,
+      const std::vector<LineageItemPtr>& input_items,
       const ExecState& state) const override;
 
  private:

@@ -1,5 +1,8 @@
 #include "runtime/instruction.h"
 
+#include <new>
+
+#include "common/rng.h"
 #include "common/timer.h"
 
 namespace lima {
@@ -103,11 +106,54 @@ std::string ComputationInstruction::ToString() const {
   return out;
 }
 
-std::vector<LineageItemPtr> ComputationInstruction::BuildLineage(
-    ExecutionContext* ctx, const std::vector<LineageItemPtr>& input_items,
+bool ComputationInstruction::IsDeterministic() const {
+  if (kernel_.seed_operand < 0) return true;
+  const Operand& seed = operands_[kernel_.seed_operand];
+  // Only a literal, non-negative seed is statically deterministic.
+  return seed.is_literal && seed.literal.is_numeric() &&
+         seed.literal.AsDouble() >= 0.0;
+}
+
+Status ComputationInstruction::DrawSystemSeed(ExecutionContext* ctx,
+                                              ExecState* state) const {
+  LIMA_ASSIGN_OR_RETURN(DataPtr seed_data,
+                        ResolveOperand(ctx, operands_[kernel_.seed_operand]));
+  LIMA_ASSIGN_OR_RETURN(double seed_value, AsNumber(seed_data));
+  if (seed_value >= 0.0) return Status::OK();  // Explicit user seed.
+
+  // System-generated seed: drawn before lineage so it can be traced.
+  state->has_seed = true;
+  state->seed = NextSystemSeed();
+  std::string encoded =
+      ScalarValue::Int(static_cast<int64_t>(state->seed)).EncodeLineageLiteral();
+  if (ctx->dedup_tracer() != nullptr) {
+    state->seed_item = ctx->dedup_tracer()->RegisterSeed(encoded);
+  } else if (ctx->lineage_active()) {
+    state->seed_item = ctx->lineage().GetOrCreateLiteral(encoded);
+  }
+  return Status::OK();
+}
+
+Result<std::vector<DataPtr>> ComputationInstruction::Compute(
+    ExecutionContext* ctx, const std::vector<DataPtr>& inputs,
     const ExecState& state) const {
-  (void)ctx;
-  (void)state;
+  if (kernel_.compute == nullptr) {
+    return Status::NotImplemented("no kernel for opcode '" + opcode() + "'");
+  }
+  return kernel_.compute(KernelCall{*this, ctx, inputs, state});
+}
+
+std::vector<LineageItemPtr> ComputationInstruction::BuildLineage(
+    const std::vector<LineageItemPtr>& input_items,
+    const ExecState& state) const {
+  if (kernel_.expand_lineage != nullptr) {
+    return {kernel_.expand_lineage(input_items)};
+  }
+  if (state.seed_item != nullptr) {
+    std::vector<LineageItemPtr> items = input_items;
+    items[kernel_.seed_operand] = state.seed_item;
+    return {LineageItem::Create(opcode_id_, std::move(items))};
+  }
   std::vector<LineageItemPtr> items;
   if (outputs_.size() == 1) {
     items.push_back(LineageItem::Create(opcode_id_, input_items));
@@ -127,7 +173,9 @@ Status ComputationInstruction::Execute(ExecutionContext* ctx) const {
   }
 
   ExecState state;
-  LIMA_RETURN_NOT_OK(PrepareExec(ctx, &state));
+  if (kernel_.seed_operand >= 0) {
+    LIMA_RETURN_NOT_OK(DrawSystemSeed(ctx, &state));
+  }
 
   // Resolve input values.
   std::vector<DataPtr> inputs;
@@ -147,7 +195,7 @@ Status ComputationInstruction::Execute(ExecutionContext* ctx) const {
     for (const Operand& op : operands_) {
       in_items.push_back(ResolveOperandLineage(ctx, op));
     }
-    out_items = BuildLineage(ctx, in_items, state);
+    out_items = BuildLineage(in_items, state);
     if (stats != nullptr) {
       stats->lineage_items_created.fetch_add(
           static_cast<int64_t>(out_items.size()), std::memory_order_relaxed);
@@ -230,9 +278,17 @@ Status ComputationInstruction::Execute(ExecutionContext* ctx) const {
     stats->cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Execute the kernel.
+  // Execute the kernel. An allocation failure (an output too large for
+  // memory) is diagnosed like any kernel error.
+  auto run_kernel = [&]() -> Result<std::vector<DataPtr>> {
+    try {
+      return Compute(ctx, inputs, state);
+    } catch (const std::bad_alloc&) {
+      return Status::RuntimeError(opcode() + ": out of memory");
+    }
+  };
   StopWatch watch;
-  Result<std::vector<DataPtr>> computed = Compute(ctx, inputs, state);
+  Result<std::vector<DataPtr>> computed = run_kernel();
   if (!computed.ok()) {
     for (size_t i = 0; i < outputs_.size(); ++i) {
       if (claimed[i]) cache->Abort(out_items[i]);
@@ -246,7 +302,7 @@ Status ComputationInstruction::Execute(ExecutionContext* ctx) const {
 
   // Source instructions stamp the produced dimensions onto their lineage
   // items (advisory provenance; recorded before the cache shares the item).
-  if (!out_items.empty() && RecordsLineageDims()) {
+  if (!out_items.empty() && kernel_.records_lineage_dims) {
     for (size_t i = 0; i < outputs_.size(); ++i) {
       if (values[i] != nullptr && values[i]->type() == DataType::kMatrix) {
         const MatrixPtr& m =

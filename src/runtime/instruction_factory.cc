@@ -1,11 +1,6 @@
 #include "runtime/instruction_factory.h"
 
-#include <unordered_map>
-
 #include "common/check.h"
-#include "runtime/instructions_compute.h"
-#include "runtime/instructions_datagen.h"
-#include "runtime/instructions_matrix.h"
 #include "runtime/instructions_misc.h"
 
 namespace lima {
@@ -20,170 +15,10 @@ std::unique_ptr<Instruction> Up(Instruction* instruction) {
   return std::unique_ptr<Instruction>(instruction);
 }
 
-// Elementwise enums resolved from the interned opcode; the name functions in
-// matrix/elementwise.* stay the single spelling of each operator.
-const std::unordered_map<int32_t, BinaryOp>& BinaryOpsById() {
-  static const auto* map = [] {
-    auto* m = new std::unordered_map<int32_t, BinaryOp>;
-    for (int i = 0; i <= static_cast<int>(BinaryOp::kIntDiv); ++i) {
-      BinaryOp op = static_cast<BinaryOp>(i);
-      m->emplace(InternOpcode(BinaryOpName(op)).value(), op);
-    }
-    return m;
-  }();
-  return *map;
-}
-
-const std::unordered_map<int32_t, UnaryOp>& UnaryOpsById() {
-  static const auto* map = [] {
-    auto* m = new std::unordered_map<int32_t, UnaryOp>;
-    for (int i = 0; i <= static_cast<int>(UnaryOp::kSigmoid); ++i) {
-      UnaryOp op = static_cast<UnaryOp>(i);
-      m->emplace(InternOpcode(UnaryOpName(op)).value(), op);
-    }
-    return m;
-  }();
-  return *map;
-}
-
-Built BuildBinary(OpcodeId id, std::vector<Operand> in,
-                  std::vector<std::string> out) {
-  return Up(new BinaryInstruction(BinaryOpsById().at(id.value()),
-                                  std::move(in[0]), std::move(in[1]),
-                                  std::move(out[0])));
-}
-
-Built BuildUnary(OpcodeId id, std::vector<Operand> in,
-                 std::vector<std::string> out) {
-  return Up(new UnaryInstruction(UnaryOpsById().at(id.value()),
-                                 std::move(in[0]), std::move(out[0])));
-}
-
-Built BuildAggregate(OpcodeId id, std::vector<Operand> in,
-                     std::vector<std::string> out) {
-  return Up(
-      new AggregateInstruction(OpcodeName(id), std::move(in[0]),
-                               std::move(out[0])));
-}
-
-Built BuildIfElse(OpcodeId /*id*/, std::vector<Operand> in,
-                  std::vector<std::string> out) {
-  return Up(new IfElseInstruction(std::move(in[0]), std::move(in[1]),
-                                  std::move(in[2]), std::move(out[0])));
-}
-
-Built BuildMatMul(OpcodeId /*id*/, std::vector<Operand> in,
-                  std::vector<std::string> out) {
-  return Up(
-      new MatMulInstruction(std::move(in[0]), std::move(in[1]),
-                            std::move(out[0])));
-}
-
-Built BuildTsmm(OpcodeId id, std::vector<Operand> in,
-                std::vector<std::string> out) {
-  static const OpcodeId kTsmm = InternOpcode("tsmm");
-  return Up(new TsmmInstruction(std::move(in[0]), std::move(out[0]),
-                                /*left=*/id == kTsmm));
-}
-
-Built BuildTsmmCbind(OpcodeId /*id*/, std::vector<Operand> in,
-                     std::vector<std::string> out) {
-  return Up(new TsmmCbindInstruction(std::move(in[0]), std::move(in[1]),
-                                     std::move(out[0])));
-}
-
-Built BuildSolve(OpcodeId /*id*/, std::vector<Operand> in,
-                 std::vector<std::string> out) {
-  return Up(new SolveInstruction(std::move(in[0]), std::move(in[1]),
-                                 std::move(out[0])));
-}
-
-Built BuildCholesky(OpcodeId /*id*/, std::vector<Operand> in,
-                    std::vector<std::string> out) {
-  return Up(new CholeskyInstruction(std::move(in[0]), std::move(out[0])));
-}
-
-Built BuildEigen(OpcodeId /*id*/, std::vector<Operand> in,
-                 std::vector<std::string> out) {
-  return Up(new EigenInstruction(std::move(in[0]), std::move(out[0]),
-                                 std::move(out[1])));
-}
-
-Built BuildReorg(OpcodeId id, std::vector<Operand> in,
-                 std::vector<std::string> out) {
-  return Up(new ReorgInstruction(OpcodeName(id), std::move(in[0]),
-                                 std::move(out[0])));
-}
-
-Built BuildReshape(OpcodeId /*id*/, std::vector<Operand> in,
-                   std::vector<std::string> out) {
-  return Up(new ReshapeInstruction(std::move(in[0]), std::move(in[1]),
-                                   std::move(in[2]), std::move(out[0])));
-}
-
-Built BuildAppend(OpcodeId id, std::vector<Operand> in,
-                  std::vector<std::string> out) {
-  static const OpcodeId kCbind = InternOpcode("cbind");
-  return Up(new AppendInstruction(id == kCbind, std::move(in[0]),
-                                  std::move(in[1]), std::move(out[0])));
-}
-
-Built BuildRightIndex(OpcodeId /*id*/, std::vector<Operand> in,
-                      std::vector<std::string> out) {
-  return Up(new RightIndexInstruction(std::move(in[0]), std::move(in[1]),
-                                      std::move(in[2]), std::move(in[3]),
-                                      std::move(in[4]), std::move(out[0])));
-}
-
-Built BuildLeftIndex(OpcodeId /*id*/, std::vector<Operand> in,
-                     std::vector<std::string> out) {
-  return Up(new LeftIndexInstruction(std::move(in[0]), std::move(in[1]),
-                                     std::move(in[2]), std::move(in[3]),
-                                     std::move(in[4]), std::move(in[5]),
-                                     std::move(out[0])));
-}
-
-Built BuildSelect(OpcodeId id, std::vector<Operand> in,
-                  std::vector<std::string> out) {
-  static const OpcodeId kSelCols = InternOpcode("selcols");
-  return Up(new SelectInstruction(id == kSelCols, std::move(in[0]),
-                                  std::move(in[1]), std::move(out[0])));
-}
-
-Built BuildTable(OpcodeId /*id*/, std::vector<Operand> in,
-                 std::vector<std::string> out) {
-  return Up(new TableInstruction(std::move(in[0]), std::move(in[1]),
-                                 std::move(in[2]), std::move(in[3]),
-                                 std::move(out[0])));
-}
-
-Built BuildOrder(OpcodeId /*id*/, std::vector<Operand> in,
-                 std::vector<std::string> out) {
-  return Up(new OrderInstruction(std::move(in[0]), std::move(in[1]),
-                                 std::move(in[2]), std::move(out[0])));
-}
-
-Built BuildMetadata(OpcodeId id, std::vector<Operand> in,
-                    std::vector<std::string> out) {
-  return Up(new MetadataInstruction(OpcodeName(id), std::move(in[0]),
-                                    std::move(out[0])));
-}
-
-Built BuildCast(OpcodeId id, std::vector<Operand> in,
-                std::vector<std::string> out) {
-  return Up(new CastInstruction(OpcodeName(id), std::move(in[0]),
-                                std::move(out[0])));
-}
-
-Built BuildToString(OpcodeId /*id*/, std::vector<Operand> in,
-                    std::vector<std::string> out) {
-  return Up(new ToStringInstruction(std::move(in[0]), std::move(out[0])));
-}
-
-Built BuildDataGen(OpcodeId id, std::vector<Operand> in,
-                   std::vector<std::string> out) {
-  return Up(new DataGenInstruction(OpcodeName(id), std::move(in),
-                                   std::move(out[0])));
+/// Every opcode with a kernel row (runtime/kernels.h).
+Built BuildComputation(OpcodeId id, std::vector<Operand> in,
+                       std::vector<std::string> out) {
+  return Up(new ComputationInstruction(id, std::move(in), std::move(out)));
 }
 
 Built BuildList(OpcodeId /*id*/, std::vector<Operand> in,
@@ -210,42 +45,10 @@ Built BuildCopyVar(OpcodeId /*id*/, std::vector<Operand> in,
 class FactoryTable {
  public:
   FactoryTable() : builders_(NumCatalogOpcodes(), nullptr) {
-    // Elementwise binaries/unaries: registered for every enum value, so a
-    // new BinaryOp/UnaryOp is replayable the moment it gets a name.
-    for (const auto& [id, op] : BinaryOpsById()) Register(id, BuildBinary);
-    for (const auto& [id, op] : UnaryOpsById()) Register(id, BuildUnary);
-    for (const char* agg :
-         {"sum", "mean", "ua_min", "ua_max", "trace", "colSums", "colMeans",
-          "colMins", "colMaxs", "colVars", "rowSums", "rowMeans", "rowMins",
-          "rowMaxs", "rowIndexMax"}) {
-      Register(agg, BuildAggregate);
-    }
-    Register("ifelse", BuildIfElse);
-    Register("mm", BuildMatMul);
-    Register("tsmm", BuildTsmm);
-    Register("tmm", BuildTsmm);
-    Register("tsmm_cbind", BuildTsmmCbind);
-    Register("solve", BuildSolve);
-    Register("cholesky", BuildCholesky);
-    Register("eigen", BuildEigen);
-    for (const char* reorg : {"t", "rev", "diag"}) Register(reorg, BuildReorg);
-    Register("reshape", BuildReshape);
-    Register("cbind", BuildAppend);
-    Register("rbind", BuildAppend);
-    Register("rightindex", BuildRightIndex);
-    Register("leftindex", BuildLeftIndex);
-    Register("selcols", BuildSelect);
-    Register("selrows", BuildSelect);
-    Register("table", BuildTable);
-    Register("order", BuildOrder);
-    for (const char* meta : {"nrow", "ncol", "length"}) {
-      Register(meta, BuildMetadata);
-    }
-    Register("castdts", BuildCast);
-    Register("castsdm", BuildCast);
-    Register("toString", BuildToString);
-    for (const char* gen : {"rand", "sample", "seq", "fill"}) {
-      Register(gen, BuildDataGen);
+    for (int32_t id = 0; id < static_cast<int32_t>(builders_.size()); ++id) {
+      if (KernelRowOf(OpcodeId(id)).compute != nullptr) {
+        Register(id, BuildComputation);
+      }
     }
     Register("list", BuildList);
     Register("listidx", BuildListIndex);

@@ -19,7 +19,9 @@ namespace lima {
 /// (analysis/opcode_registry) — and replay can never drift from compilation.
 ///
 /// Arity is validated against the catalog entry before construction;
-/// unknown or uncatalogued opcodes are an error.
+/// unknown or uncatalogued opcodes are an error. Every opcode with a kernel
+/// row (runtime/kernels.h) builds a ComputationInstruction; list, listidx
+/// and cpvar have builders of their own.
 ///
 /// Two catalog opcodes are deliberately NOT constructible here:
 ///  - "fused": carries compiler-internal per-step state (FusedInstruction);

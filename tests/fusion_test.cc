@@ -5,7 +5,7 @@
 
 #include "lang/fusion_pass.h"
 #include "lang/session.h"
-#include "runtime/instructions_compute.h"
+#include "runtime/instruction_factory.h"
 #include "runtime/instructions_misc.h"
 #include "runtime/program.h"
 
@@ -136,11 +136,11 @@ TEST(FusionTest, FuseBasicBlockUnitLevel) {
 std::unique_ptr<BasicBlock> TempChainBlock(
     std::unique_ptr<Instruction> between) {
   auto block = std::make_unique<BasicBlock>();
-  block->Append(std::make_unique<BinaryInstruction>(
-      BinaryOp::kAdd, Operand::Var("X"), Operand::LitDouble(1), "_t1"));
+  block->Append(*MakeInstruction(
+      "+", {Operand::Var("X"), Operand::LitDouble(1)}, {"_t1"}));
   if (between != nullptr) block->Append(std::move(between));
-  block->Append(std::make_unique<BinaryInstruction>(
-      BinaryOp::kMul, Operand::Var("_t1"), Operand::LitDouble(2), "Y"));
+  block->Append(*MakeInstruction(
+      "*", {Operand::Var("_t1"), Operand::LitDouble(2)}, {"Y"}));
   return block;
 }
 
@@ -155,7 +155,7 @@ int CountFused(const BasicBlock& block) {
 TEST(FusionTest, KillScanBaselineChainDoesFuse) {
   // Sanity for the tests below: without an intervening kill the chain fuses.
   std::unique_ptr<BasicBlock> block = TempChainBlock(nullptr);
-  FuseBasicBlock(block.get());
+  FuseBasicBlock(block.get(), FusionPlanningContext{});
   EXPECT_EQ(CountFused(*block), 1);
 }
 
@@ -164,7 +164,7 @@ TEST(FusionTest, KillScanRejectsFreedOperand) {
   // consumer would read X after its removal.
   std::unique_ptr<BasicBlock> block =
       TempChainBlock(VariableInstruction::Remove({"X"}));
-  FuseBasicBlock(block.get());
+  FuseBasicBlock(block.get(), FusionPlanningContext{});
   EXPECT_EQ(CountFused(*block), 0);
 }
 
@@ -172,9 +172,9 @@ TEST(FusionTest, KillScanRejectsRebondOperand) {
   // X is rebound between producer and consumer: the inlined X + 1 would see
   // the new binding instead of the producer's snapshot.
   std::unique_ptr<BasicBlock> block =
-      TempChainBlock(std::make_unique<BinaryInstruction>(
-          BinaryOp::kSub, Operand::Var("X"), Operand::LitDouble(1), "X"));
-  FuseBasicBlock(block.get());
+      TempChainBlock(*MakeInstruction(
+          "-", {Operand::Var("X"), Operand::LitDouble(1)}, {"X"}));
+  FuseBasicBlock(block.get(), FusionPlanningContext{});
   EXPECT_EQ(CountFused(*block), 0);
 }
 
@@ -183,7 +183,7 @@ TEST(FusionTest, KillScanRejectsMovedAwayProducer) {
   // longer refers to the producer's value.
   std::unique_ptr<BasicBlock> block =
       TempChainBlock(VariableInstruction::Move("_t1", "Z"));
-  FuseBasicBlock(block.get());
+  FuseBasicBlock(block.get(), FusionPlanningContext{});
   EXPECT_EQ(CountFused(*block), 0);
 }
 
@@ -191,12 +191,12 @@ TEST(FusionTest, CpvarAliasCountsAsSecondUse) {
   // cpvar _t1 -> A aliases the temp: fusing it away would leave A dangling,
   // so the single-use test must count the copy as a use.
   auto block = std::make_unique<BasicBlock>();
-  block->Append(std::make_unique<BinaryInstruction>(
-      BinaryOp::kAdd, Operand::Var("X"), Operand::LitDouble(1), "_t1"));
+  block->Append(*MakeInstruction(
+      "+", {Operand::Var("X"), Operand::LitDouble(1)}, {"_t1"}));
   block->Append(VariableInstruction::Copy("_t1", "A"));
-  block->Append(std::make_unique<BinaryInstruction>(
-      BinaryOp::kMul, Operand::Var("_t1"), Operand::LitDouble(2), "Y"));
-  FuseBasicBlock(block.get());
+  block->Append(*MakeInstruction(
+      "*", {Operand::Var("_t1"), Operand::LitDouble(2)}, {"Y"}));
+  FuseBasicBlock(block.get(), FusionPlanningContext{});
   EXPECT_EQ(CountFused(*block), 0);
   // The producer must survive for the alias to read.
   bool producer_alive = false;

@@ -6,9 +6,7 @@
 #include "runtime/analysis.h"
 #include "runtime/execution_context.h"
 #include "runtime/fused_op.h"
-#include "runtime/instructions_compute.h"
-#include "runtime/instructions_datagen.h"
-#include "runtime/instructions_matrix.h"
+#include "runtime/instruction_factory.h"
 #include "runtime/instructions_misc.h"
 #include "runtime/program.h"
 #include "runtime/stats.h"
@@ -33,6 +31,13 @@ class InstructionTest : public ::testing::Test {
     return *AsMatrix(*context_.symbols().Get(name));
   }
 
+  /// Builds a catalog instruction through the factory.
+  static std::unique_ptr<Instruction> Make(std::string_view opcode,
+                                           std::vector<Operand> operands,
+                                           std::vector<std::string> outputs) {
+    return *MakeInstruction(opcode, std::move(operands), std::move(outputs));
+  }
+
   LimaConfig config_ = LimaConfig::TracingOnly();
   RuntimeStats stats_;
   ExecutionContext context_;
@@ -41,30 +46,26 @@ class InstructionTest : public ::testing::Test {
 TEST_F(InstructionTest, BinaryDispatchesAllTypeCombinations) {
   Bind("M", Matrix(2, 2, 3.0));
   // matrix + matrix
-  BinaryInstruction mm(BinaryOp::kAdd, Operand::Var("M"), Operand::Var("M"),
-                       "a");
-  ASSERT_TRUE(mm.Execute(&context_).ok());
+  auto mm = Make("+", {Operand::Var("M"), Operand::Var("M")}, {"a"});
+  ASSERT_TRUE(mm->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(MatrixOf("a")->At(0, 0), 6.0);
   // matrix + scalar, scalar + matrix
-  BinaryInstruction ms(BinaryOp::kSub, Operand::Var("M"),
-                       Operand::LitDouble(1.0), "b");
-  ASSERT_TRUE(ms.Execute(&context_).ok());
+  auto ms = Make("-", {Operand::Var("M"), Operand::LitDouble(1.0)}, {"b"});
+  ASSERT_TRUE(ms->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(MatrixOf("b")->At(1, 1), 2.0);
-  BinaryInstruction sm(BinaryOp::kSub, Operand::LitDouble(1.0),
-                       Operand::Var("M"), "c");
-  ASSERT_TRUE(sm.Execute(&context_).ok());
+  auto sm = Make("-", {Operand::LitDouble(1.0), Operand::Var("M")}, {"c"});
+  ASSERT_TRUE(sm->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(MatrixOf("c")->At(0, 1), -2.0);
   // scalar + scalar
-  BinaryInstruction ss(BinaryOp::kMul, Operand::LitInt(6),
-                       Operand::LitInt(7), "d");
-  ASSERT_TRUE(ss.Execute(&context_).ok());
+  auto ss = Make("*", {Operand::LitInt(6), Operand::LitInt(7)}, {"d"});
+  ASSERT_TRUE(ss->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(Number("d"), 42.0);
 }
 
 TEST_F(InstructionTest, LineageTracedBeforeBinding) {
   Bind("X", Matrix(2, 2, 1.0));
-  TsmmInstruction tsmm(Operand::Var("X"), "A");
-  ASSERT_TRUE(tsmm.Execute(&context_).ok());
+  auto tsmm = Make("tsmm", {Operand::Var("X")}, {"A"});
+  ASSERT_TRUE(tsmm->Execute(&context_).ok());
   LineageItemPtr item = context_.lineage().Get("A");
   ASSERT_NE(item, nullptr);
   EXPECT_EQ(item->opcode(), "tsmm");
@@ -74,8 +75,8 @@ TEST_F(InstructionTest, LineageTracedBeforeBinding) {
 
 TEST_F(InstructionTest, EigenBindsTwoOutputsWithDistinctLineage) {
   Bind("C", Matrix(2, 2, {2, 0, 0, 5}));
-  EigenInstruction eigen(Operand::Var("C"), "w", "V");
-  ASSERT_TRUE(eigen.Execute(&context_).ok());
+  auto eigen = Make("eigen", {Operand::Var("C")}, {"w", "V"});
+  ASSERT_TRUE(eigen->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(MatrixOf("w")->At(0, 0), 5.0);
   EXPECT_EQ(MatrixOf("V")->rows(), 2);
   LineageItemPtr lw = context_.lineage().Get("w");
@@ -100,61 +101,62 @@ TEST_F(InstructionTest, VariableInstructionsMaintainBothMaps) {
 }
 
 TEST_F(InstructionTest, DataGenSystemSeedIsTracedLiteral) {
-  DataGenInstruction rand_instr(
-      "rand",
-      {Operand::LitInt(3), Operand::LitInt(3), Operand::LitDouble(0),
-       Operand::LitDouble(1), Operand::LitDouble(1),
-       Operand::LitString("uniform"), Operand::LitInt(-1)},
-      "R");
-  ASSERT_TRUE(rand_instr.Execute(&context_).ok());
+  auto rand_instr =
+      Make("rand",
+           {Operand::LitInt(3), Operand::LitInt(3), Operand::LitDouble(0),
+            Operand::LitDouble(1), Operand::LitDouble(1),
+            Operand::LitString("uniform"), Operand::LitInt(-1)},
+           {"R"});
+  ASSERT_TRUE(rand_instr->Execute(&context_).ok());
   LineageItemPtr item = context_.lineage().Get("R");
   ASSERT_NE(item, nullptr);
   // The seed input (index 6) must be a literal, not the -1 placeholder.
   const LineageItemPtr& seed = item->inputs()[6];
   EXPECT_TRUE(seed->is_literal());
   EXPECT_NE(seed->data(), "I-1");
-  EXPECT_FALSE(rand_instr.IsDeterministic());
+  EXPECT_FALSE(rand_instr->IsDeterministic());
 
-  DataGenInstruction seeded(
-      "rand",
-      {Operand::LitInt(3), Operand::LitInt(3), Operand::LitDouble(0),
-       Operand::LitDouble(1), Operand::LitDouble(1),
-       Operand::LitString("uniform"), Operand::LitInt(42)},
-      "S");
-  EXPECT_TRUE(seeded.IsDeterministic());
+  auto seeded =
+      Make("rand",
+           {Operand::LitInt(3), Operand::LitInt(3), Operand::LitDouble(0),
+            Operand::LitDouble(1), Operand::LitDouble(1),
+            Operand::LitString("uniform"), Operand::LitInt(42)},
+           {"S"});
+  EXPECT_TRUE(seeded->IsDeterministic());
 }
 
 TEST_F(InstructionTest, IndexInstructionBoundsChecked) {
   Bind("X", Matrix(3, 3, 1.0));
-  RightIndexInstruction bad(Operand::Var("X"), Operand::LitInt(1),
-                            Operand::LitInt(4), Operand::LitInt(1),
-                            Operand::LitInt(3), "Y");
-  Status status = bad.Execute(&context_);
+  auto bad = Make("rightindex",
+                  {Operand::Var("X"), Operand::LitInt(1), Operand::LitInt(4),
+                   Operand::LitInt(1), Operand::LitInt(3)},
+                  {"Y"});
+  Status status = bad->Execute(&context_);
   EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
   EXPECT_FALSE(context_.symbols().Contains("Y"));
 }
 
 TEST_F(InstructionTest, MetadataAndCasts) {
   Bind("X", Matrix(4, 6, 2.5));
-  MetadataInstruction nrow("nrow", Operand::Var("X"), "r");
-  MetadataInstruction ncol("ncol", Operand::Var("X"), "c");
-  MetadataInstruction len("length", Operand::Var("X"), "n");
-  ASSERT_TRUE(nrow.Execute(&context_).ok());
-  ASSERT_TRUE(ncol.Execute(&context_).ok());
-  ASSERT_TRUE(len.Execute(&context_).ok());
+  auto nrow = Make("nrow", {Operand::Var("X")}, {"r"});
+  auto ncol = Make("ncol", {Operand::Var("X")}, {"c"});
+  auto len = Make("length", {Operand::Var("X")}, {"n"});
+  ASSERT_TRUE(nrow->Execute(&context_).ok());
+  ASSERT_TRUE(ncol->Execute(&context_).ok());
+  ASSERT_TRUE(len->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(Number("r"), 4);
   EXPECT_DOUBLE_EQ(Number("c"), 6);
   EXPECT_DOUBLE_EQ(Number("n"), 24);
 
   Bind("One", Matrix(1, 1, 7.0));
-  CastInstruction to_scalar("castdts", Operand::Var("One"), "s");
-  ASSERT_TRUE(to_scalar.Execute(&context_).ok());
+  auto to_scalar = Make("castdts", {Operand::Var("One")}, {"s"});
+  ASSERT_TRUE(to_scalar->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(Number("s"), 7.0);
-  CastInstruction to_matrix("castsdm", Operand::LitDouble(3.5), "M");
-  ASSERT_TRUE(to_matrix.Execute(&context_).ok());
+  auto to_matrix = Make("castsdm", {Operand::LitDouble(3.5)}, {"M"});
+  ASSERT_TRUE(to_matrix->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(MatrixOf("M")->At(0, 0), 3.5);
-  CastInstruction bad("castdts", Operand::Var("X"), "oops");
-  EXPECT_FALSE(bad.Execute(&context_).ok());
+  auto bad = Make("castdts", {Operand::Var("X")}, {"oops"});
+  EXPECT_FALSE(bad->Execute(&context_).ok());
 }
 
 TEST_F(InstructionTest, FusedInstructionSinglePass) {
@@ -192,11 +194,9 @@ TEST_F(InstructionTest, HandAssembledProgramWithLoop) {
   // acc = 0-filled 2x2; for i in 1..4: acc = acc + i (via fill).
   Program program;
   auto init = std::make_unique<BasicBlock>();
-  init->Append(std::make_unique<DataGenInstruction>(
-      "fill",
-      std::vector<Operand>{Operand::LitDouble(0), Operand::LitInt(2),
-                           Operand::LitInt(2)},
-      "acc"));
+  init->Append(Make(
+      "fill", {Operand::LitDouble(0), Operand::LitInt(2), Operand::LitInt(2)},
+      {"acc"}));
   program.mutable_main()->push_back(std::move(init));
 
   auto loop = std::make_unique<ForBlock>();
@@ -210,8 +210,7 @@ TEST_F(InstructionTest, HandAssembledProgramWithLoop) {
       std::make_unique<AssignLiteralInstruction>(ScalarValue::Int(4), "_t"));
   *loop->mutable_to() = Predicate(std::move(to_block), "_t");
   auto body = std::make_unique<BasicBlock>();
-  body->Append(std::make_unique<BinaryInstruction>(
-      BinaryOp::kAdd, Operand::Var("acc"), Operand::Var("i"), "_x"));
+  body->Append(Make("+", {Operand::Var("acc"), Operand::Var("i")}, {"_x"}));
   body->Append(VariableInstruction::Move("_x", "acc"));
   loop->mutable_body()->push_back(std::move(body));
   program.mutable_main()->push_back(std::move(loop));
@@ -251,14 +250,14 @@ TEST_F(InstructionTest, SolveChainMatchesClosedForm) {
   // Full normal-equations pipeline assembled by hand.
   Bind("X", Matrix(4, 2, {1, 0, 0, 1, 1, 1, 2, 1}));
   Bind("y", Matrix(4, 1, {1, 2, 3, 5}));
-  TsmmInstruction tsmm(Operand::Var("X"), "A");
-  ReorgInstruction transpose("t", Operand::Var("X"), "Xt");
-  MatMulInstruction xty(Operand::Var("Xt"), Operand::Var("y"), "b");
-  SolveInstruction solve(Operand::Var("A"), Operand::Var("b"), "beta");
-  ASSERT_TRUE(tsmm.Execute(&context_).ok());
-  ASSERT_TRUE(transpose.Execute(&context_).ok());
-  ASSERT_TRUE(xty.Execute(&context_).ok());
-  ASSERT_TRUE(solve.Execute(&context_).ok());
+  auto tsmm = Make("tsmm", {Operand::Var("X")}, {"A"});
+  auto transpose = Make("t", {Operand::Var("X")}, {"Xt"});
+  auto xty = Make("mm", {Operand::Var("Xt"), Operand::Var("y")}, {"b"});
+  auto solve = Make("solve", {Operand::Var("A"), Operand::Var("b")}, {"beta"});
+  ASSERT_TRUE(tsmm->Execute(&context_).ok());
+  ASSERT_TRUE(transpose->Execute(&context_).ok());
+  ASSERT_TRUE(xty->Execute(&context_).ok());
+  ASSERT_TRUE(solve->Execute(&context_).ok());
   // Residual X^T (X beta - y) must be ~0.
   MatrixPtr beta = MatrixOf("beta");
   EXPECT_EQ(beta->rows(), 2);
@@ -269,8 +268,9 @@ TEST_F(InstructionTest, SolveChainMatchesClosedForm) {
 
 TEST_F(InstructionTest, ArityMismatchIsTypeError) {
   Bind("X", Matrix(2, 2, 1.0));
-  SolveInstruction solve(Operand::Var("X"), Operand::LitDouble(1.0), "b");
-  Status status = solve.Execute(&context_);
+  auto solve = Make("solve", {Operand::Var("X"), Operand::LitDouble(1.0)},
+                    {"b"});
+  Status status = solve->Execute(&context_);
   EXPECT_EQ(status.code(), StatusCode::kTypeError);
 }
 
