@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -417,7 +418,13 @@ Message LimaServer::HandleRun(const Message& request) {
     // All cache traffic of this request — including parfor workers, which
     // inherit the tag — is charged to the tenant.
     LineageCache::TenantScope scope(cache.get(), tenant);
-    status = session.Run(scripts::Builtins() + *script);
+    // A failure that escapes the interpreter as an exception fails this
+    // request only; the daemon keeps serving every tenant.
+    try {
+      status = session.Run(scripts::Builtins() + *script);
+    } catch (const std::exception& e) {
+      status = Status::RuntimeError(std::string("run: ") + e.what());
+    }
   }
   const double seconds = watch.ElapsedSeconds();
 

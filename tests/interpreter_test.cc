@@ -248,6 +248,24 @@ TEST(InterpreterTest, IfElseShapeMismatchRejected) {
       "Z = ifelse(matrix(1, 2, 2), matrix(1, 3, 3), 0);").ok());
 }
 
+// Generators and reshape size their output from operand values: hostile
+// dimensions are a diagnosed error, never a wrapped cell count or an
+// allocation the process cannot survive.
+TEST(InterpreterTest, OversizedGeneratorDimensionsRejected) {
+  for (const char* script : {
+           "X = matrix(0, rows=3, cols=4611686018427387904);",
+           "X = rand(rows=3, cols=4611686018427387904, seed=1);",
+           "X = seq(1, 1e300);",
+           "X = table(seq(1, 3), seq(1, 3), 4611686018427387904, 4);",
+           "Y = matrix(matrix(0, rows=0, cols=0), rows=4611686018427387904,"
+           " cols=4);\nZ = Y[1:2, 1:2];",
+       }) {
+    Status status = RunStatus(script);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString() << "\n" << script;
+  }
+}
+
 TEST(InterpreterTest, WhileIterationBoundPreventsHang) {
   LimaSession session(LimaConfig::Base());
   Status status = session.Run("i = 0; while (i < 1) { x = 1; }");

@@ -122,6 +122,16 @@ TEST(ServeTest, RunPingStatsAndErrors) {
   ASSERT_TRUE(pong_after.ok()) << pong_after.status().ToString();
   EXPECT_EQ(pong_after->Get("status"), "ok");
 
+  // So does a generator whose rows * cols overflows.
+  Result<Message> oversized =
+      RunScript(options.socket_path, "alice",
+                "X = matrix(0, rows=3, cols=4611686018427387904);\n"
+                "print(sum(X));\n");
+  EXPECT_FALSE(oversized.ok());
+  Result<Message> pong_last = Call(options.socket_path, ping);
+  ASSERT_TRUE(pong_last.ok()) << pong_last.status().ToString();
+  EXPECT_EQ(pong_last->Get("status"), "ok");
+
   Message stats;
   stats.Set("op", "stats");
   Result<Message> report = Call(options.socket_path, stats);

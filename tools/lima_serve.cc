@@ -25,11 +25,8 @@
 //   lima_serve --socket=/tmp/lima.sock --call --op=stats
 //   lima_serve --socket=/tmp/lima.sock --call --op=query --query=stats
 #include <signal.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -41,23 +38,6 @@
 #include "serve/server.h"
 
 namespace {
-
-// Signal flags handed from the handler to the self-pipe drain loop.
-volatile sig_atomic_t g_reload = 0;
-volatile sig_atomic_t g_shutdown = 0;
-int g_signal_pipe[2] = {-1, -1};
-
-void OnSignal(int signo) {
-  if (signo == SIGHUP) {
-    g_reload = 1;
-  } else {
-    g_shutdown = 1;
-  }
-  // Wake the main loop; a full pipe means a wakeup is already pending.
-  const char byte = 0;
-  ssize_t ignored = write(g_signal_pipe[1], &byte, 1);
-  (void)ignored;
-}
 
 void PrintUsage() {
   std::fprintf(
@@ -258,18 +238,15 @@ int main(int argc, char** argv) {
     options = *loaded;
   }
 
-  if (pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "pipe() failed: %s\n", std::strerror(errno));
-    return 1;
-  }
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = OnSignal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = SA_RESTART;
-  sigaction(SIGHUP, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGTERM, &sa, nullptr);
+  // The daemon's signals are blocked before any thread exists, so every
+  // thread inherits the mask and only the sigwait loop below takes them:
+  // no handler runs asynchronously (which TSan builds defer indefinitely).
+  sigset_t signals;
+  sigemptyset(&signals);
+  sigaddset(&signals, SIGHUP);
+  sigaddset(&signals, SIGINT);
+  sigaddset(&signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
   signal(SIGPIPE, SIG_IGN);
 
   serve::LimaServer server(options);
@@ -288,31 +265,27 @@ int main(int argc, char** argv) {
                  server.warm_start_report().Summary().c_str());
   }
 
-  while (g_shutdown == 0) {
-    char byte;
-    ssize_t n = read(g_signal_pipe[0], &byte, 1);
-    if (n < 0 && errno != EINTR) break;
-    if (g_reload != 0) {
-      g_reload = 0;
-      if (config_path.empty()) {
-        std::fprintf(stderr, "lima_serve: SIGHUP ignored (no --config)\n");
-        continue;
-      }
-      Result<serve::ServeOptions> loaded =
-          serve::LoadServeOptionsFile(config_path, options);
-      if (!loaded.ok()) {
-        // Keep serving with the old config; a bad reload must not kill a
-        // live daemon.
-        std::fprintf(stderr, "lima_serve: reload failed: %s\n",
-                     loaded.status().ToString().c_str());
-        continue;
-      }
-      options = *loaded;
-      server.Reload(options);
-      std::fprintf(stderr, "lima_serve: reloaded %s (pool=%d queue=%d)\n",
-                   config_path.c_str(), options.pool_size,
-                   options.queue_capacity);
+  // SIGHUP reloads; SIGINT or SIGTERM ends the loop and drains.
+  int signo = 0;
+  while (sigwait(&signals, &signo) == 0 && signo == SIGHUP) {
+    if (config_path.empty()) {
+      std::fprintf(stderr, "lima_serve: SIGHUP ignored (no --config)\n");
+      continue;
     }
+    Result<serve::ServeOptions> loaded =
+        serve::LoadServeOptionsFile(config_path, options);
+    if (!loaded.ok()) {
+      // Keep serving with the old config; a bad reload must not kill a
+      // live daemon.
+      std::fprintf(stderr, "lima_serve: reload failed: %s\n",
+                   loaded.status().ToString().c_str());
+      continue;
+    }
+    options = *loaded;
+    server.Reload(options);
+    std::fprintf(stderr, "lima_serve: reloaded %s (pool=%d queue=%d)\n",
+                 config_path.c_str(), options.pool_size,
+                 options.queue_capacity);
   }
 
   std::fprintf(stderr, "lima_serve: draining...\n");
