@@ -3,8 +3,12 @@
 // reuse-aware tsmm_cbind rewrite (Sec. 4.4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <set>
+#include <sstream>
 
 #include "lang/compiler.h"
 #include "lang/session.h"
@@ -343,6 +347,115 @@ TEST(CompilerTest, UnknownNamedArgumentRejected) {
   EXPECT_FALSE(
       CompileScript("x = rand(rows=2, cols=2, bogus=1);", LimaConfig::Base())
           .ok());
+}
+
+// One call of every DML builtin, with positional, named and defaulted
+// arguments, plus the user-function fallback and the statement builtins.
+const char kEveryBuiltin[] = R"(
+  f = function(Matrix A, Double k = 2) return (Matrix B) { B = A * k; }
+  X = rand(rows=4, cols=3, min=-1, seed=7);
+  Y = rand(4, 3, 0, 1, 1.0, "normal", 8);
+  Z = rand(cols=3, rows=4);
+  S = t(X) %*% X;
+  a1 = exp(X); a2 = log(x=X); a3 = sqrt(X); a4 = abs(X); a5 = round(X);
+  a6 = floor(X); a7 = ceil(X); a8 = sign(X); a9 = sigmoid(X);
+  b1 = min(X); b2 = max(X); b3 = min(X, Y); b4 = max(X, 0.5);
+  c1 = sum(X); c2 = mean(X); c3 = trace(S); c4 = colSums(X);
+  c5 = colMeans(X); c6 = colMins(X); c7 = colMaxs(X); c8 = colVars(X);
+  c9 = rowSums(X); c10 = rowMeans(X); c11 = rowMins(X); c12 = rowMaxs(X);
+  c13 = rowIndexMax(x=X);
+  d1 = nrow(X); d2 = ncol(X); d3 = length(X);
+  e1 = t(X); e2 = rev(X); e3 = diag(c4);
+  g1 = cbind(X, Y, Z); g2 = rbind(X, Y);
+  h1 = solve(S, c4); h2 = solve(b=c4, a=S); h3 = cholesky(a=S);
+  i1 = matrix(0, rows=2, cols=3); i2 = matrix(X, 3, 4);
+  i3 = sample(10, 3); i4 = sample(range=10, size=3, seed=5);
+  i5 = seq(1, 10); i6 = seq(from=10, to=1, incr=-3);
+  i7 = table(c9, c10); i8 = table(c9, c10, odim2=4, odim1=3);
+  j1 = order(X); j2 = order(target=X, by=2, decreasing=TRUE);
+  j3 = order(X, 1, FALSE, TRUE);
+  k1 = as.scalar(c1); k2 = as.matrix(c1); k3 = toString(x=c1);
+  l1 = list(X, 3, "s"); l2 = list(); l3 = l1[1];
+  m1 = eval("f", l1); m2 = eval(args=l1, fn="f");
+  n1 = ifelse(X > 0, X, 0); n2 = ifelse(no=Y, yes=X, test=X > Y);
+  o1 = read("in.bin"); o2 = read(path="in.csv");
+  p1 = lineage(X); p2 = lineage(x=3);
+  [ev, EV] = eigen(S);
+  q1 = f(X); q2 = f(X, 3); q3 = f(k=4, A=X);
+  print(c1); print(X); print("done " + c2);
+  write(X, "out.bin"); write(path="out.csv", x=Y);
+  if (c1 > 100) { stop("too big"); }
+  stop(c2);
+)";
+
+/// One line per emitted instruction: its ToString, then its input and
+/// output variables, in program order (predicate blocks included).
+std::string DumpInstructions(const Program& program) {
+  std::string out;
+  auto dump = [&out](const Instruction& instr) {
+    out += instr.ToString() + " | in:";
+    for (const std::string& v : instr.InputVars()) out += " " + v;
+    out += " | out:";
+    for (const std::string& v : instr.OutputVars()) out += " " + v;
+    out += "\n";
+  };
+  std::vector<std::string> names;
+  for (const auto& entry : program.functions()) names.push_back(entry.first);
+  std::sort(names.begin(), names.end());
+  for (const std::string& name : names) {
+    out += "function " + name + "\n";
+    ForEachInstruction(program.GetFunction(name)->body(), dump);
+  }
+  out += "main\n";
+  ForEachInstruction(program.main(), dump);
+  return out;
+}
+
+// Pins what the compiler emits for every builtin: the dump of the compiled
+// program must match tests/golden/compiler_builtins.golden byte for byte.
+// Regenerate (only for an intended change) with
+//   LIMA_GOLDEN_WRITE=1 ./compiler_test
+TEST(CompilerTest, EveryBuiltinEmitsGoldenInstructions) {
+  auto program = Compile(kEveryBuiltin);
+  ASSERT_NE(program, nullptr);
+  const std::string dump = DumpInstructions(*program);
+  const std::string path =
+      std::string(LIMA_SOURCE_DIR) + "/tests/golden/compiler_builtins.golden";
+  if (std::getenv("LIMA_GOLDEN_WRITE") != nullptr) {
+    std::ofstream(path, std::ios::binary) << dump;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << path
+                         << " (regenerate with LIMA_GOLDEN_WRITE=1)";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(dump, golden.str());
+}
+
+TEST(CompilerTest, BuiltinErrorTextIsPinned) {
+  struct Case {
+    const char* script;
+    const char* message;
+  };
+  const Case kCases[] = {
+      {"print(1, 2);", "print() takes one argument"},
+      {"stop(1, 2);", "stop() takes one argument"},
+      {"x = cbind(X);", "cbind() needs at least 2 arguments"},
+      {"x = min(1, 2, 3);", "min() takes 1 or 2 arguments"},
+      {"x = rand(cols=2);", "missing argument 'rows' in call to rand"},
+      {"x = rand(rows=2, cols=2, bogus=1);",
+       "unexpected argument 'bogus' in call to rand (line 1)"},
+      {"x = eigen(C);",
+       "eigen() has two outputs; use [values, vectors] = eigen(X)"},
+      {"x = print(1);", "print() is a statement, not an expression"},
+      {"write(X);", "missing argument 'path' in call to write"},
+  };
+  for (const Case& c : kCases) {
+    Status status = CompileScript(c.script, LimaConfig::Base()).status();
+    EXPECT_EQ(status.code(), StatusCode::kCompileError) << c.script;
+    EXPECT_EQ(status.message(), c.message) << c.script;
+  }
 }
 
 }  // namespace

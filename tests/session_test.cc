@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "lineage/serialize.h"
 #include "matrix/datagen.h"
 
 namespace lima {
@@ -202,6 +207,77 @@ TEST(SessionTest, LineageBuiltinReturnsLog) {
   EXPECT_NE(out.find("rand"), std::string::npos);
   EXPECT_NE(out.find("mm"), std::string::npos);
   EXPECT_NE(out.find("sum"), std::string::npos);
+}
+
+// The non-computation opcodes end to end: a write/read round trip with its
+// lineage log and the read leaf, the text of lineage(X), list and listidx
+// lineage, eval's result and stop's error text. None of them counts as an
+// executed instruction.
+TEST(SessionTest, NonComputeOpcodesRunAndTraceAsPinned) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lima_session_noncompute.bin")
+          .string();
+  LimaSession session(LimaConfig::TracingOnly());
+  Status status = session.Run(R"(
+    f = function(Matrix A) return (Matrix B) { B = A + 1; }
+    X = rand(rows=2, cols=2, seed=3);
+    write(X, ")" + path + R"(");
+    Y = read(")" + path + R"(");
+    txt = lineage(X);
+    l = list(X, 7);
+    e = l[1];
+    k = l[2];
+    r = eval("f", list(X));
+  )");
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  LineageItemPtr x = session.GetLineageItem("X");
+  ASSERT_NE(x, nullptr);
+  EXPECT_EQ(session.GetScalar("txt")->AsString(), SerializeLineage(x));
+  EXPECT_EQ(SerializeLineage(x),
+            "(0) L \"I2\"\n(1) L \"D0\"\n(2) L \"D1\"\n"
+            "(3) L \"Suniform\"\n(4) L \"I3\"\n"
+            "(5) rand (0) (0) (1) (2) (2) (3) (4)\n");
+  std::ifstream log(path + ".lineage");
+  std::ostringstream log_text;
+  log_text << log.rdbuf();
+  EXPECT_EQ(log_text.str(), SerializeLineage(x));
+
+  MatrixPtr xm = *session.GetMatrix("X");
+  MatrixPtr ym = *session.GetMatrix("Y");
+  ASSERT_EQ(ym->rows(), 2);
+  ASSERT_EQ(ym->cols(), 2);
+  for (int64_t i = 0; i < 2; ++i) {
+    for (int64_t j = 0; j < 2; ++j) {
+      EXPECT_EQ(ym->At(i, j), xm->At(i, j));
+      EXPECT_EQ((*session.GetMatrix("r"))->At(i, j), xm->At(i, j) + 1);
+    }
+  }
+  LineageItemPtr y = session.GetLineageItem("Y");
+  EXPECT_EQ(y->opcode(), "read");
+  EXPECT_EQ(y->data(), path);
+  EXPECT_TRUE(y->inputs().empty());
+
+  LineageItemPtr l = session.GetLineageItem("l");
+  EXPECT_EQ(l->opcode(), "list");
+  ASSERT_EQ(l->inputs().size(), 2u);
+  EXPECT_EQ(l->inputs()[0], x);
+  EXPECT_EQ(l->inputs()[1]->opcode(), "L");
+  EXPECT_EQ(l->inputs()[1]->data(), "I7");
+  EXPECT_EQ(session.GetLineageItem("e"), x);
+  EXPECT_EQ(session.GetLineageItem("k"), l->inputs()[1]);
+  EXPECT_DOUBLE_EQ(*session.GetDouble("k"), 7.0);
+
+  const int64_t executed = session.stats()->instructions_executed.load();
+  ASSERT_TRUE(session.Run(R"(print("hi");)").ok());
+  EXPECT_EQ(session.ConsumeOutput(), "hi\n");
+  EXPECT_EQ(session.stats()->instructions_executed.load(), executed);
+
+  Status stopped = session.Run(R"(stop("halt " + 1);)");
+  EXPECT_EQ(stopped.code(), StatusCode::kRuntimeError);
+  EXPECT_EQ(stopped.message(), "halt 1 [in stop]");
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".lineage");
 }
 
 TEST(SessionTest, LineageBuiltinFailsWithoutTracing) {
