@@ -1,36 +1,16 @@
 #include "analysis/cost_model.h"
 
-#include <string_view>
-
 #include "analysis/opcode_registry.h"
 
 namespace lima {
-
-namespace {
-
-/// Cells of a constant-shaped matrix; -1 when not constant.
-int64_t ConstCells(const ShapeInfo& shape) {
-  if (!shape.is_matrix()) return -1;
-  if (!shape.rows.is_const() || !shape.cols.is_const()) return -1;
-  return shape.rows.value * shape.cols.value;
-}
-
-/// Metadata-only ops: they read dimensions or headers, never the payload.
-bool IsMetaOp(std::string_view opcode) {
-  return opcode == "nrow" || opcode == "ncol" || opcode == "length" ||
-         opcode == "lineageof" || opcode == "toString" || opcode == "castdts";
-}
-
-}  // namespace
 
 CostEstimate EstimateOpCost(const OpcodeEffect* effect,
                             const std::vector<ShapeArg>& args,
                             const std::vector<ShapeInfo>& outputs) {
   CostEstimate est;
   if (effect == nullptr) return est;
-  const std::string_view opcode = effect->opcode;
 
-  if (IsMetaOp(opcode)) {
+  if (effect->cost_family == CostFamily::kMetadata) {
     // Constant-time regardless of operand size.
     est.known = true;
     est.flops = 1;
@@ -40,50 +20,67 @@ CostEstimate EstimateOpCost(const OpcodeEffect* effect,
     return est;
   }
 
+  // Cell counts are at most kMaxMatrixCells, so each byte count fits; the
+  // sums saturate.
+  constexpr int64_t kCellBytes = static_cast<int64_t>(sizeof(double));
   int64_t in_cells = 0;
   int64_t bytes = 0;
   for (const ShapeArg& arg : args) {
     const ShapeInfo& shape = arg.shape;
     if (shape.is_scalar()) {
-      bytes += static_cast<int64_t>(sizeof(double));
+      bytes = SaturatingAdd(bytes, kCellBytes);
       continue;
     }
-    int64_t cells = ConstCells(shape);
+    int64_t cells = shape.ConstCells();
     if (cells < 0) return est;  // unknown operand size: no estimate
-    in_cells += cells;
-    bytes += cells * static_cast<int64_t>(sizeof(double));
+    in_cells = SaturatingAdd(in_cells, cells);
+    bytes = SaturatingAdd(bytes, cells * kCellBytes);
   }
   int64_t out_cells = 0;
   for (const ShapeInfo& shape : outputs) {
     if (shape.is_scalar()) {
-      bytes += static_cast<int64_t>(sizeof(double));
+      bytes = SaturatingAdd(bytes, kCellBytes);
       continue;
     }
     if (shape.is_list()) continue;
-    int64_t cells = ConstCells(shape);
+    int64_t cells = shape.ConstCells();
     if (cells < 0) return est;  // unknown output size: no estimate
-    out_cells += cells;
-    bytes += cells * static_cast<int64_t>(sizeof(double));
+    out_cells = SaturatingAdd(out_cells, cells);
+    bytes = SaturatingAdd(bytes, cells * kCellBytes);
   }
 
   // FLOP count by kernel family; the default (one flop per cell touched)
   // covers elementwise ops, aggregates, reorganizations, and datagen.
-  double flops = static_cast<double>(in_cells + out_cells);
+  double flops = static_cast<double>(SaturatingAdd(in_cells, out_cells));
   auto dims = [&](size_t i) -> const ShapeInfo& { return args[i].shape; };
-  if (opcode == "mm" && args.size() >= 2 && dims(0).is_matrix() &&
-      dims(1).is_matrix()) {
-    flops = 2.0 * static_cast<double>(dims(0).rows.value) *
-            static_cast<double>(dims(0).cols.value) *
-            static_cast<double>(dims(1).cols.value);
-  } else if ((opcode == "tsmm" || opcode == "tmm" || opcode == "tsmm_cbind") &&
-             !args.empty() && dims(0).is_matrix()) {
-    // t(X) %*% X (or X %*% t(X)): inner dimension times output cells.
-    int64_t inner = opcode == "tmm" ? dims(0).cols.value : dims(0).rows.value;
-    flops = 2.0 * static_cast<double>(inner) * static_cast<double>(out_cells);
-  } else if ((opcode == "solve" || opcode == "cholesky" || opcode == "eigen") &&
-             !args.empty() && dims(0).is_matrix()) {
-    double n = static_cast<double>(dims(0).rows.value);
-    flops = n * n * n;
+  switch (effect->cost_family) {
+    case CostFamily::kMatMul:
+      if (args.size() >= 2 && dims(0).is_matrix() && dims(1).is_matrix()) {
+        flops = 2.0 * static_cast<double>(dims(0).rows.value) *
+                static_cast<double>(dims(0).cols.value) *
+                static_cast<double>(dims(1).cols.value);
+      }
+      break;
+    case CostFamily::kTsmm:
+    case CostFamily::kTmm:
+      // t(X) %*% X (or X %*% t(X)): inner dimension times output cells.
+      if (!args.empty() && dims(0).is_matrix()) {
+        int64_t inner = effect->cost_family == CostFamily::kTmm
+                            ? dims(0).cols.value
+                            : dims(0).rows.value;
+        flops =
+            2.0 * static_cast<double>(inner) * static_cast<double>(out_cells);
+      }
+      break;
+    case CostFamily::kCubic:
+      if (!args.empty() && dims(0).is_matrix()) {
+        double n = static_cast<double>(dims(0).rows.value);
+        flops = n * n * n;
+      }
+      break;
+    case CostFamily::kPerCell:
+    case CostFamily::kMetadata:
+      break;
   }
 
   est.known = true;

@@ -574,15 +574,16 @@ ShapeRuleResult ReadFileRule(const OpcodeEffect& effect,
                              const std::vector<ShapeArg>& args) {
   (void)effect;
   (void)args;
-  // The inference engine seeds literal read() paths from the file header
-  // (PeekMatrixDims) before consulting this fallback.
+  // Shape inference seeds literal read() paths from the file header
+  // (OpcodeEffect::reads_file) before consulting this fallback.
   return Out(ShapeInfo::Matrix(Dim::Unknown(), Dim::Unknown()));
 }
 
 // Builders keep the table below readable; every field deviation from the
 // category default is spelled out at the entry.
 OpcodeEffect Compute(const char* op, int inputs, bool reusable,
-                     ShapeRuleFn rule, int outputs = 1) {
+                     ShapeRuleFn rule, int outputs = 1,
+                     CostFamily cost = CostFamily::kPerCell) {
   OpcodeEffect e;
   e.opcode = op;
   e.category = Cat::kCompute;
@@ -591,6 +592,7 @@ OpcodeEffect Compute(const char* op, int inputs, bool reusable,
   e.num_outputs = outputs;
   e.reusable = reusable;
   e.shape_rule = rule;
+  e.cost_family = cost;
   return e;
 }
 
@@ -645,20 +647,25 @@ std::vector<OpcodeEffect> BuildRegistry() {
   }
 
   // --- Matrix multiplications and factorizations -----------------------
-  ops.push_back(Compute("mm", 2, /*reusable=*/true, MatMulRule));
-  ops.push_back(Compute("tsmm", 1, /*reusable=*/true, TsmmRule));
+  ops.push_back(Compute("mm", 2, /*reusable=*/true, MatMulRule, 1,
+                        CostFamily::kMatMul));
+  ops.push_back(Compute("tsmm", 1, /*reusable=*/true, TsmmRule, 1,
+                        CostFamily::kTsmm));
   // Legacy SystemDS opcode (X %*% t(X)) kept in the reusable set for
   // lineage-log compatibility; replayable via the instruction factory even
   // though no current compiler rewrite emits it.
-  ops.push_back(Compute("tmm", 1, /*reusable=*/true, TmmRule));
-  ops.push_back(Compute("solve", 2, /*reusable=*/true, SolveRule));
-  ops.push_back(Compute("cholesky", 1, /*reusable=*/true, CholeskyRule));
-  ops.push_back(
-      Compute("eigen", 1, /*reusable=*/true, EigenRule, /*outputs=*/2));
+  ops.push_back(Compute("tmm", 1, /*reusable=*/true, TmmRule, 1,
+                        CostFamily::kTmm));
+  ops.push_back(Compute("solve", 2, /*reusable=*/true, SolveRule, 1,
+                        CostFamily::kCubic));
+  ops.push_back(Compute("cholesky", 1, /*reusable=*/true, CholeskyRule, 1,
+                        CostFamily::kCubic));
+  ops.push_back(Compute("eigen", 1, /*reusable=*/true, EigenRule,
+                        /*outputs=*/2, CostFamily::kCubic));
   {
     // Traces as tsmm(cbind(A, B)) — never as a "tsmm_cbind" lineage node.
-    OpcodeEffect tsmm_cbind =
-        Compute("tsmm_cbind", 2, /*reusable=*/true, TsmmCbindRule);
+    OpcodeEffect tsmm_cbind = Compute("tsmm_cbind", 2, /*reusable=*/true,
+                                      TsmmCbindRule, 1, CostFamily::kTsmm);
     tsmm_cbind.lineage_transparent = true;
     ops.push_back(tsmm_cbind);
   }
@@ -689,12 +696,15 @@ std::vector<OpcodeEffect> BuildRegistry() {
   }
 
   // --- Non-reusable compute: metadata, casts, rendering ----------------
-  ops.push_back(Compute("nrow", 1, /*reusable=*/false, MetaScalarRule));
-  ops.push_back(Compute("ncol", 1, /*reusable=*/false, MetaScalarRule));
-  ops.push_back(Compute("length", 1, /*reusable=*/false, MetaScalarRule));
-  ops.push_back(Compute("castdts", 1, /*reusable=*/false, CastToScalarRule));
+  for (const char* op : {"nrow", "ncol", "length"}) {
+    ops.push_back(Compute(op, 1, /*reusable=*/false, MetaScalarRule, 1,
+                          CostFamily::kMetadata));
+  }
+  ops.push_back(Compute("castdts", 1, /*reusable=*/false, CastToScalarRule,
+                        1, CostFamily::kMetadata));
   ops.push_back(Compute("castsdm", 1, /*reusable=*/false, CastToMatrixRule));
-  ops.push_back(Compute("toString", 1, /*reusable=*/false, ScalarResultRule));
+  ops.push_back(Compute("toString", 1, /*reusable=*/false, ScalarResultRule,
+                        1, CostFamily::kMetadata));
 
   // --- Data generators -------------------------------------------------
   // rand/sample may draw a system seed (seed operand -1); instances with a
@@ -768,6 +778,7 @@ std::vector<OpcodeEffect> BuildRegistry() {
     read.max_inputs = 1;
     read.shape_rule = ReadFileRule;
     // Files are immutable (Sec. 3.4): reads are pure given the path.
+    read.reads_file = true;
     ops.push_back(read);
   }
   {
@@ -812,6 +823,7 @@ std::vector<OpcodeEffect> BuildRegistry() {
     lineageof.min_inputs = 1;
     lineageof.max_inputs = 1;
     lineageof.shape_rule = ScalarResultRule;
+    lineageof.cost_family = CostFamily::kMetadata;
     ops.push_back(lineageof);
   }
 

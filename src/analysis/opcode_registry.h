@@ -77,6 +77,17 @@ enum class OpcodeCategory {
 
 const char* OpcodeCategoryName(OpcodeCategory category);
 
+/// Kernel family of an opcode: what the static cost model
+/// (analysis/cost_model.h) charges for one execution.
+enum class CostFamily : uint8_t {
+  kPerCell,   ///< one flop per input and output cell touched
+  kMetadata,  ///< reads dimensions or headers only: constant cost
+  kMatMul,    ///< A %*% B: 2 * rows(A) * cols(A) * cols(B) flops
+  kTsmm,      ///< t(X) %*% X: 2 * rows(X) flops per output cell
+  kTmm,       ///< X %*% t(X): 2 * cols(X) flops per output cell
+  kCubic,     ///< solves and factorizations: rows(A)^3 flops
+};
+
 /// Effect metadata of one runtime opcode — the single source of truth for
 /// the properties the lineage/reuse subsystems used to probe via scattered
 /// string comparisons (Sec. 4.1: the configurable set of cacheable
@@ -123,6 +134,15 @@ struct OpcodeEffect {
   /// call-graph determinism fixpoint cannot see through such calls, so the
   /// enclosing function is conservatively nondeterministic.
   bool dynamic_dispatch = false;
+
+  /// True when operand 0 is the path of an immutable matrix file (Sec. 3.4):
+  /// shape inference takes a literal path's dimensions from the file header
+  /// before applying `shape_rule`, and value numbering gives two reads of
+  /// one path the same value.
+  bool reads_file = false;
+
+  /// What the static cost model charges for one execution.
+  CostFamily cost_family = CostFamily::kPerCell;
 
   /// True when the op never appears as a node in traced lineage: its
   /// BuildLineage materializes the equivalent unfused/unrewritten items

@@ -219,18 +219,6 @@ class RedundancyEngine {
       }
       return;
     }
-    if (const auto* read = dynamic_cast<const ReadInstruction*>(&instr)) {
-      // Two reads of the same path yield the same data within a run — the
-      // same assumption lineage-based reuse already makes.
-      AbsVal val;
-      val.vn = HashCombine(HashBytes("read"), OperandVn(read->path(), *env));
-      val.shape = syms_.MintSyms(
-          &instr, 0, ShapeInfo::Matrix(Dim::Unknown(), Dim::Unknown()));
-      if (!instr.OutputVars().empty()) {
-        (*env)[instr.OutputVars()[0]] = std::move(val);
-      }
-      return;
-    }
     if (const auto* call = dynamic_cast<const FunctionCallInstruction*>(
             &instr)) {
       ApplyCall(*call, env);
@@ -241,19 +229,46 @@ class RedundancyEngine {
       ApplyComputation(*comp, state, scope, loc);
       return;
     }
-    // Remaining non-computation instructions by opcode: no value numbers
-    // worth tracking — outputs get fresh (never-redundant) values with the
-    // shape engine's kinds.
-    const std::string& op = instr.opcode();
-    if (op == "print" || op == "stop" || op == "write") return;
-    ShapeInfo shape = ShapeInfo::Unknown();
-    if (op == "list") {
-      shape = ShapeInfo::List();
-    } else if (op == "lineageof" || op == "toString") {
-      shape = ShapeInfo::Scalar();
+    if (const auto* misc = dynamic_cast<const MiscInstruction*>(&instr)) {
+      ApplyMisc(*misc, env);
     }
-    for (const std::string& out : instr.OutputVars()) {
-      (*env)[out] = {FreshVn(), shape};
+  }
+
+  /// Output shapes from the catalog row's shape rule, unknown where the row
+  /// has none (eval dispatches at runtime) or reports an error (the shape
+  /// pass's to report). `args` receives the rule's arguments.
+  std::vector<ShapeInfo> RowShapes(const OpcodeEffect* effect,
+                                   const std::vector<Operand>& operands,
+                                   size_t num_outputs, const Env& env,
+                                   std::vector<ShapeArg>* args) {
+    args->reserve(operands.size());
+    for (const Operand& op : operands) args->push_back(BuildArg(op, env));
+    std::vector<ShapeInfo> shapes;
+    if (effect != nullptr && effect->shape_rule != nullptr) {
+      ShapeRuleResult result = effect->shape_rule(*effect, *args);
+      if (result.error.empty()) shapes = std::move(result.outputs);
+    }
+    shapes.resize(num_outputs);
+    return shapes;
+  }
+
+  /// Non-computation rows: no value numbers worth tracking, so outputs get
+  /// fresh (never-redundant) values with the row's shapes. File reads are
+  /// the exception: two reads of the same path yield the same data within
+  /// a run — the same assumption lineage-based reuse already makes.
+  void ApplyMisc(const MiscInstruction& misc, Env* env) {
+    const OpcodeEffect* effect = LookupOpcode(misc.opcode_id());
+    const std::vector<std::string>& outputs = misc.outputs();
+    std::vector<ShapeArg> args;
+    std::vector<ShapeInfo> shapes =
+        RowShapes(effect, misc.operands(), outputs.size(), *env, &args);
+    for (size_t i = 0; i < outputs.size(); ++i) {
+      uint64_t vn = effect->reads_file
+                        ? HashCombine(HashBytes("read"),
+                                      OperandVn(misc.operands()[0], *env))
+                        : FreshVn();
+      (*env)[outputs[i]] = {vn, syms_.MintSyms(&misc, static_cast<int>(i),
+                                               std::move(shapes[i]))};
     }
   }
 
@@ -290,19 +305,8 @@ class RedundancyEngine {
     const std::vector<std::string> outputs = comp.OutputVars();
 
     std::vector<ShapeArg> args;
-    args.reserve(comp.operands().size());
-    for (const Operand& op : comp.operands()) {
-      args.push_back(BuildArg(op, *env));
-    }
-    std::vector<ShapeInfo> out_shapes;
-    if (effect != nullptr && effect->shape_rule != nullptr) {
-      ShapeRuleResult result = effect->shape_rule(*effect, args);
-      // Shape errors are the shape pass's to report; degrade here.
-      if (result.error.empty()) {
-        out_shapes = std::move(result.outputs);
-      }
-    }
-    out_shapes.resize(outputs.size());
+    std::vector<ShapeInfo> out_shapes =
+        RowShapes(effect, comp.operands(), outputs.size(), *env, &args);
 
     // The value number: opcode identity + operand values + literals (and
     // the step structure for fused chains). Nondeterministic instances
@@ -348,9 +352,7 @@ class RedundancyEngine {
         outputs.size() == 1 && out_shapes[0].is_scalar();
     if (outputs.size() == 1 && out_shapes[0].is_matrix()) {
       const ShapeInfo& out = out_shapes[0];
-      if (out.rows.is_const() && out.cols.is_const()) {
-        fact.out_cells = out.rows.value * out.cols.value;
-      }
+      fact.out_cells = out.ConstCells();
       for (const ShapeArg& arg : args) {
         if (!arg.shape.is_matrix()) continue;
         if (DimsProvablyDiffer(arg.shape.rows, out.rows) ||

@@ -43,7 +43,8 @@ struct InstrStaticFact {
   /// Some matrix operand provably differs in shape from the output: the
   /// fused kernel would take its materialized stepwise fallback.
   bool nonuniform = false;
-  /// Output cells when the output is a constant-shaped matrix, else -1.
+  /// Output cells when the output is a constant-shaped matrix that one
+  /// matrix can hold (ShapeInfo::ConstCells), else -1.
   int64_t out_cells = -1;
 };
 

@@ -94,15 +94,15 @@ class ShapeEngine {
 
   // --- environment / memory observation ---------------------------------
 
-  /// Dense payload bytes of all matrix bindings; unknown-shape matrices
-  /// contribute 0 and taint exactness.
+  /// Dense payload bytes of all matrix bindings, saturating; unknown-shape
+  /// matrices contribute 0 and taint exactness.
   int64_t EnvBytes(const Env& env, bool* taint) {
     int64_t total = 0;
     for (const auto& [name, shape] : env) {
       (void)name;
       if (shape.is_matrix()) {
         if (shape.fully_known()) {
-          total += shape.MatrixBytes();
+          total = SaturatingAdd(total, shape.MatrixBytes());
         } else {
           *taint = true;
         }
@@ -115,7 +115,7 @@ class ShapeEngine {
 
   void Observe(const Env& env) {
     bool taint = false;
-    int64_t bytes = base_bytes_ + EnvBytes(env, &taint);
+    int64_t bytes = SaturatingAdd(base_bytes_, EnvBytes(env, &taint));
     if (taint) {
       exact_ = false;
       block_exact_ = false;
@@ -185,21 +185,6 @@ class ShapeEngine {
       Observe(*env);
       return;
     }
-    if (const auto* read = dynamic_cast<const ReadInstruction*>(&instr)) {
-      ShapeInfo shape = ShapeInfo::Matrix(Dim::Unknown(), Dim::Unknown());
-      const Operand& path = read->path();
-      if (path.is_literal && path.literal.is_string()) {
-        Result<std::pair<int64_t, int64_t>> dims =
-            PeekMatrixDims(path.literal.AsString());
-        if (dims.ok()) {
-          shape = ShapeInfo::Matrix(Dim::Const(dims->first),
-                                    Dim::Const(dims->second));
-        }
-      }
-      BindOutputs(instr, instr.OutputVars(), {shape}, env);
-      Observe(*env);
-      return;
-    }
     if (const auto* call = dynamic_cast<const FunctionCallInstruction*>(
             &instr)) {
       ApplyCall(*call, env, scope, loc);
@@ -208,57 +193,62 @@ class ShapeEngine {
     }
     if (const auto* comp = dynamic_cast<const ComputationInstruction*>(
             &instr)) {
-      std::vector<ShapeArg> args;
-      args.reserve(comp->operands().size());
-      for (const Operand& op : comp->operands()) {
-        args.push_back(BuildArg(op, *env));
-      }
-      const OpcodeEffect* effect = LookupOpcode(instr.opcode_id());
-      if (effect == nullptr || effect->shape_rule == nullptr) {
-        diags_.Report(Diagnostic::Severity::kWarning, "shape-unknown-degraded",
-                      "no shape-transfer rule for opcode '" + instr.opcode() +
-                          "'; shapes degraded to unknown",
-                      scope, loc, instr.source_line());
-        BindOutputs(instr, instr.OutputVars(),
-                    std::vector<ShapeInfo>(instr.OutputVars().size()), env);
-        Observe(*env);
-        return;
-      }
-      ShapeRuleResult result = effect->shape_rule(*effect, args);
-      if (!result.error.empty()) {
-        diags_.Report(Diagnostic::Severity::kError, "shape-mismatch",
-                      result.error, scope, loc, instr.source_line());
-        result.outputs.assign(instr.OutputVars().size(),
-                              ShapeInfo::Unknown());
-      }
-      BindOutputs(instr, comp->OutputVars(), std::move(result.outputs), env);
+      ApplyRow(instr, comp->operands(), env, scope, loc);
+    } else if (const auto* misc = dynamic_cast<const MiscInstruction*>(
+                   &instr)) {
+      ApplyRow(instr, misc->operands(), env, scope, loc);
+    }
+  }
+
+  /// An instruction that runs a catalog row: the row's shape rule maps the
+  /// operand shapes to the output shapes.
+  void ApplyRow(const Instruction& instr, const std::vector<Operand>& operands,
+                Env* env, const std::string& scope, const std::string& loc) {
+    const std::vector<std::string> outputs = instr.OutputVars();
+    if (outputs.empty()) return;  // print, stop, write bind nothing
+    const OpcodeEffect* effect = LookupOpcode(instr.opcode_id());
+    std::string degraded;
+    if (effect != nullptr && effect->dynamic_dispatch) {
+      degraded =
+          instr.opcode() + " dispatches at runtime; result shape unknown";
+    } else if (effect == nullptr || effect->shape_rule == nullptr) {
+      degraded = "no shape-transfer rule for opcode '" + instr.opcode() +
+                 "'; shapes degraded to unknown";
+    }
+    if (!degraded.empty()) {
+      diags_.Report(Diagnostic::Severity::kWarning, "shape-unknown-degraded",
+                    degraded, scope, loc, instr.source_line());
+      BindOutputs(instr, outputs, std::vector<ShapeInfo>(outputs.size()),
+                  env);
       Observe(*env);
       return;
     }
-    // Remaining non-computation instructions by opcode.
-    const std::string& op = instr.opcode();
-    if (op == "print" || op == "stop" || op == "write") return;
-    if (op == "list") {
-      BindOutputs(instr, instr.OutputVars(), {ShapeInfo::List()}, env);
-    } else if (op == "lineageof" || op == "toString") {
-      BindOutputs(instr, instr.OutputVars(), {ShapeInfo::Scalar()}, env);
-    } else if (op == "eval") {
-      diags_.Report(Diagnostic::Severity::kWarning, "shape-unknown-degraded",
-                    "eval dispatches at runtime; result shape unknown", scope,
-                    loc, instr.source_line());
-      BindOutputs(instr, instr.OutputVars(), {ShapeInfo::Unknown()}, env);
-    } else if (op == "listidx") {
-      // Per-slot shapes are not tracked through lists.
-      BindOutputs(instr, instr.OutputVars(), {ShapeInfo::Unknown()}, env);
-    } else if (!instr.OutputVars().empty()) {
-      diags_.Report(Diagnostic::Severity::kWarning, "shape-unknown-degraded",
-                    "unmodeled opcode '" + op +
-                        "'; shapes degraded to unknown",
-                    scope, loc, instr.source_line());
-      BindOutputs(instr, instr.OutputVars(),
-                  std::vector<ShapeInfo>(instr.OutputVars().size()), env);
+    std::vector<ShapeArg> args;
+    args.reserve(operands.size());
+    for (const Operand& op : operands) args.push_back(BuildArg(op, *env));
+    ShapeRuleResult result;
+    if (!effect->reads_file || !PeekFileShape(args, &result)) {
+      result = effect->shape_rule(*effect, args);
     }
+    if (!result.error.empty()) {
+      diags_.Report(Diagnostic::Severity::kError, "shape-mismatch",
+                    result.error, scope, loc, instr.source_line());
+      result.outputs.assign(outputs.size(), ShapeInfo::Unknown());
+    }
+    BindOutputs(instr, outputs, std::move(result.outputs), env);
     Observe(*env);
+  }
+
+  /// The dimensions in the header of a literal matrix-file path, when the
+  /// file is readable at compile time.
+  static bool PeekFileShape(const std::vector<ShapeArg>& args,
+                            ShapeRuleResult* result) {
+    if (args.empty() || !args[0].has_text) return false;
+    Result<std::pair<int64_t, int64_t>> dims = PeekMatrixDims(args[0].text);
+    if (!dims.ok()) return false;
+    result->outputs = {ShapeInfo::Matrix(Dim::Const(dims->first),
+                                         Dim::Const(dims->second))};
+    return true;
   }
 
   void ApplyCall(const FunctionCallInstruction& call, Env* env,
@@ -289,7 +279,7 @@ class ShapeEngine {
     // The callee's live bindings stack on top of the caller's.
     bool taint = false;
     int64_t saved_base = base_bytes_;
-    base_bytes_ += EnvBytes(*env, &taint);
+    base_bytes_ = SaturatingAdd(base_bytes_, EnvBytes(*env, &taint));
     active_.insert(fn);
     ++call_depth_;
     ForwardDataflow(*this).Run(fn->body(), &callee, fn->name(), fn->name());

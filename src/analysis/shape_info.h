@@ -2,8 +2,11 @@
 #define LIMA_ANALYSIS_SHAPE_INFO_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "matrix/matrix.h"
 
 namespace lima {
 
@@ -144,20 +147,29 @@ struct ShapeInfo {
   bool is_matrix() const { return kind == Kind::kMatrix; }
   bool is_list() const { return kind == Kind::kList; }
 
+  /// Cells of a matrix with constant dimensions; -1 when a dimension is not
+  /// constant or no matrix could hold the shape (CellCount), which the
+  /// runtime rejects, so it counts as unknown size.
+  int64_t ConstCells() const {
+    if (kind != Kind::kMatrix || !rows.is_const() || !cols.is_const()) {
+      return -1;
+    }
+    return CellCount(rows.value, cols.value);
+  }
+
   /// Fully known = the static memory planner can size it exactly: scalars
-  /// and lists always, matrices only with constant dimensions.
+  /// and lists always, matrices only with a constant, allocatable shape.
   bool fully_known() const {
     if (kind == Kind::kUnknown) return false;
     if (kind != Kind::kMatrix) return true;
-    return rows.is_const() && cols.is_const();
+    return ConstCells() >= 0;
   }
 
   /// Dense payload bytes for the memory estimator; 0 when not fully known.
+  /// Never overflows: ConstCells is at most kMaxMatrixCells.
   int64_t MatrixBytes() const {
-    if (kind != Kind::kMatrix || !rows.is_const() || !cols.is_const()) {
-      return 0;
-    }
-    return rows.value * cols.value * static_cast<int64_t>(sizeof(double));
+    const int64_t cells = ConstCells();
+    return cells < 0 ? 0 : cells * static_cast<int64_t>(sizeof(double));
   }
 
   bool operator==(const ShapeInfo& other) const {
@@ -190,6 +202,15 @@ struct ShapeInfo {
     return "unknown";
   }
 };
+
+/// a + b for the static size estimates, saturating at the int64 maximum
+/// instead of overflowing.
+inline int64_t SaturatingAdd(int64_t a, int64_t b) {
+  int64_t sum;
+  return __builtin_add_overflow(a, b, &sum)
+             ? std::numeric_limits<int64_t>::max()
+             : sum;
+}
 
 /// Least upper bound over shapes (used at if-joins and loop heads).
 inline ShapeInfo JoinShape(const ShapeInfo& a, const ShapeInfo& b) {

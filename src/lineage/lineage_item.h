@@ -168,20 +168,6 @@ class LineageItem : public std::enable_shared_from_this<LineageItem> {
   /// Single-item rendering, e.g. "(12) mm (3) (7)".
   std::string ToString() const;
 
-  /// Produced-dimension provenance for source items (datagen, read, input
-  /// binding): the creating instruction records the actual matrix shape
-  /// right after construction, before the item escapes its thread.
-  /// Advisory metadata only — never part of hash(), Equals(), or the
-  /// serialized format, so recorded and unrecorded items stay
-  /// interchangeable for reuse. -1 = unrecorded.
-  void RecordDims(int64_t rows, int64_t cols) const {
-    meta_rows_ = rows;
-    meta_cols_ = cols;
-  }
-  bool has_dims() const { return meta_rows_ >= 0; }
-  int64_t meta_rows() const { return meta_rows_; }
-  int64_t meta_cols() const { return meta_cols_; }
-
  private:
   LineageItem() = default;
 
@@ -194,8 +180,6 @@ class LineageItem : public std::enable_shared_from_this<LineageItem> {
   int placeholder_index_ = -1;
   DedupPatchPtr patch_;
   int dedup_output_index_ = 0;
-  mutable int64_t meta_rows_ = -1;  ///< RecordDims provenance (not hashed).
-  mutable int64_t meta_cols_ = -1;
 };
 
 /// Convenience equality over pointers (nullptr-safe).

@@ -11,19 +11,12 @@ namespace lima {
 
 namespace {
 
-constexpr int64_t kMaxCells =
-    static_cast<int64_t>(std::vector<double>().max_size());
-
-bool MultiplyCells(int64_t rows, int64_t cols, int64_t* cells) {
-  return !__builtin_mul_overflow(rows, cols, cells) && *cells <= kMaxCells;
-}
-
 /// The constructors' size check runs before the multiplication.
 size_t CellsOrThrow(int64_t rows, int64_t cols) {
   LIMA_CHECK_GE(rows, 0);
   LIMA_CHECK_GE(cols, 0);
-  int64_t cells;
-  if (!MultiplyCells(rows, cols, &cells)) throw std::bad_alloc();
+  int64_t cells = CellCount(rows, cols);
+  if (cells < 0) throw std::bad_alloc();
   return static_cast<size_t>(cells);
 }
 
@@ -33,8 +26,8 @@ Result<int64_t> CheckedCellCount(int64_t rows, int64_t cols, const char* op) {
   if (rows < 0 || cols < 0) {
     return Status::Invalid(std::string(op) + ": negative dimensions");
   }
-  int64_t cells;
-  if (!MultiplyCells(rows, cols, &cells)) {
+  int64_t cells = CellCount(rows, cols);
+  if (cells < 0) {
     return Status::Invalid(std::string(op) + ": " + std::to_string(rows) +
                            "x" + std::to_string(cols) +
                            " exceeds the maximum matrix size");

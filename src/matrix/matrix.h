@@ -10,6 +10,23 @@
 
 namespace lima {
 
+/// The most cells one matrix can hold: std::vector<double>::max_size().
+inline constexpr int64_t kMaxMatrixCells =
+    static_cast<int64_t>(std::vector<double>().max_size());
+
+/// rows * cols when both dimensions are non-negative and the product is at
+/// most kMaxMatrixCells; -1 otherwise. Computed without overflow, so
+/// hostile dimensions are caught instead of wrapping. The runtime's size
+/// checks and the static analyses' size arithmetic share it.
+inline int64_t CellCount(int64_t rows, int64_t cols) {
+  int64_t cells;
+  if (rows < 0 || cols < 0 || __builtin_mul_overflow(rows, cols, &cells) ||
+      cells > kMaxMatrixCells) {
+    return -1;
+  }
+  return cells;
+}
+
 /// rows * cols for an output sized from operand values: an error naming
 /// `op` when a dimension is negative or the product exceeds what one
 /// matrix can hold (std::vector<double>::max_size()). Computed without

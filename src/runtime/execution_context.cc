@@ -76,13 +76,6 @@ uint64_t InputFingerprint(const DataPtr& value) {
 
 void ExecutionContext::BindInput(const std::string& name, DataPtr value) {
   uint64_t fingerprint = tracing_enabled() ? InputFingerprint(value) : 0;
-  int64_t rows = -1;
-  int64_t cols = -1;
-  if (value->type() == DataType::kMatrix) {
-    const MatrixPtr& m = static_cast<const MatrixData*>(value.get())->matrix();
-    rows = m->rows();
-    cols = m->cols();
-  }
   symbols_.Set(name, std::move(value));
   if (tracing_enabled()) {
     // The fingerprint rides along as a literal input; the item's data stays
@@ -91,10 +84,8 @@ void ExecutionContext::BindInput(const std::string& name, DataPtr value) {
     std::snprintf(buf, sizeof(buf), "S%016llx",
                   static_cast<unsigned long long>(fingerprint));
     static const OpcodeId kReadId = InternOpcode("read");
-    LineageItemPtr item = LineageItem::Create(
-        kReadId, {lineage_.GetOrCreateLiteral(buf)}, name);
-    if (rows >= 0) item->RecordDims(rows, cols);
-    lineage_.Set(name, std::move(item));
+    lineage_.Set(name, LineageItem::Create(
+                           kReadId, {lineage_.GetOrCreateLiteral(buf)}, name));
   }
 }
 

@@ -84,9 +84,9 @@ void BundleReuse::Put(const ExecutionContext& from,
 
 std::string Instruction::ToString() const { return opcode(); }
 
-std::vector<std::string> ComputationInstruction::InputVars() const {
+std::vector<std::string> VariableNames(const std::vector<Operand>& operands) {
   std::vector<std::string> vars;
-  for (const Operand& op : operands_) {
+  for (const Operand& op : operands) {
     if (!op.is_literal) vars.push_back(op.name);
   }
   return vars;
@@ -299,18 +299,6 @@ Status ComputationInstruction::Execute(ExecutionContext* ctx) const {
   std::vector<DataPtr> values = std::move(computed).ValueOrDie();
   LIMA_CHECK_EQ(values.size(), outputs_.size())
       << "instruction " << opcode() << " output arity mismatch";
-
-  // Source instructions stamp the produced dimensions onto their lineage
-  // items (advisory provenance; recorded before the cache shares the item).
-  if (!out_items.empty() && kernel_.records_lineage_dims) {
-    for (size_t i = 0; i < outputs_.size(); ++i) {
-      if (values[i] != nullptr && values[i]->type() == DataType::kMatrix) {
-        const MatrixPtr& m =
-            static_cast<const MatrixData*>(values[i].get())->matrix();
-        out_items[i]->RecordDims(m->rows(), m->cols());
-      }
-    }
-  }
 
   // Populate the cache. With full probing, only claimed keys are filled;
   // with partial-only mode, values are inserted directly.

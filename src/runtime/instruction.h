@@ -44,6 +44,9 @@ struct Operand {
   ScalarValue literal;
 };
 
+/// The names of the variable (non-literal) operands, in operand order.
+std::vector<std::string> VariableNames(const std::vector<Operand>& operands);
+
 /// Resolves an operand to its runtime value.
 Result<DataPtr> ResolveOperand(ExecutionContext* ctx, const Operand& op);
 
@@ -152,7 +155,9 @@ class ComputationInstruction : public Instruction {
 
   Status Execute(ExecutionContext* ctx) const final;
 
-  std::vector<std::string> InputVars() const override;
+  std::vector<std::string> InputVars() const override {
+    return VariableNames(operands_);
+  }
   std::vector<std::string> OutputVars() const override { return outputs_; }
 
   /// Seeded generators are deterministic only with a literal, non-negative

@@ -21,15 +21,10 @@ Built BuildComputation(OpcodeId id, std::vector<Operand> in,
   return Up(new ComputationInstruction(id, std::move(in), std::move(out)));
 }
 
-Built BuildList(OpcodeId /*id*/, std::vector<Operand> in,
+/// Every opcode with a non-computation row.
+Built BuildMisc(OpcodeId id, std::vector<Operand> in,
                 std::vector<std::string> out) {
-  return Up(new ListInstruction(std::move(in), std::move(out[0])));
-}
-
-Built BuildListIndex(OpcodeId /*id*/, std::vector<Operand> in,
-                     std::vector<std::string> out) {
-  return Up(new ListIndexInstruction(std::move(in[0]), std::move(in[1]),
-                                     std::move(out[0])));
+  return Up(new MiscInstruction(id, std::move(in), std::move(out)));
 }
 
 Built BuildCopyVar(OpcodeId /*id*/, std::vector<Operand> in,
@@ -46,12 +41,10 @@ class FactoryTable {
  public:
   FactoryTable() : builders_(NumCatalogOpcodes(), nullptr) {
     for (int32_t id = 0; id < static_cast<int32_t>(builders_.size()); ++id) {
-      if (KernelRowOf(OpcodeId(id)).compute != nullptr) {
-        Register(id, BuildComputation);
-      }
+      const KernelRow& row = KernelRowOf(OpcodeId(id));
+      if (row.compute != nullptr) Register(id, BuildComputation);
+      if (row.misc != nullptr) Register(id, BuildMisc);
     }
-    Register("list", BuildList);
-    Register("listidx", BuildListIndex);
     Register("cpvar", BuildCopyVar);
   }
 

@@ -19,17 +19,17 @@ namespace lima {
 /// (analysis/opcode_registry) — and replay can never drift from compilation.
 ///
 /// Arity is validated against the catalog entry before construction;
-/// unknown or uncatalogued opcodes are an error. Every opcode with a kernel
-/// row (runtime/kernels.h) builds a ComputationInstruction; list, listidx
-/// and cpvar have builders of their own.
+/// unknown or uncatalogued opcodes are an error. Every opcode with a
+/// compute row (runtime/kernels.h) builds a ComputationInstruction, every
+/// opcode with a misc row a MiscInstruction; cpvar has a builder of its own.
 ///
-/// Two catalog opcodes are deliberately NOT constructible here:
+/// Some catalog opcodes are deliberately NOT constructible here:
 ///  - "fused": carries compiler-internal per-step state (FusedInstruction);
 ///    its lineage is transparent (BuildLineage materializes the unfused
 ///    per-step items), so no traced log ever contains a "fused" node.
-///  - "eval"/"fcall"/bookkeeping/io/diagnostic ops with compiler-managed
-///    state are built by the compiler directly; they are not value-producing
-///    replay targets.
+///  - "fcall" and the bookkeeping ops other than cpvar carry state of their
+///    own (callee name, literal value, variable kind) and are built by the
+///    compiler directly; they are not value-producing replay targets.
 Result<std::unique_ptr<Instruction>> MakeInstruction(
     OpcodeId opcode, std::vector<Operand> operands,
     std::vector<std::string> outputs);

@@ -1,15 +1,8 @@
 #include "runtime/instructions_misc.h"
 
-#include <cmath>
-#include <ostream>
-
-#include <fstream>
 #include <optional>
 
-#include "common/string_util.h"
 #include "common/timer.h"
-#include "lineage/serialize.h"
-#include "matrix/matrix_io.h"
 #include "runtime/program.h"
 
 namespace lima {
@@ -100,181 +93,6 @@ std::string VariableInstruction::ToString() const {
     out += name;
   }
   return out;
-}
-
-Status PrintInstruction::Execute(ExecutionContext* ctx) const {
-  LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, input_));
-  std::ostream& out = ctx->print_stream();
-  if (value->type() == DataType::kScalar) {
-    out << static_cast<const ScalarData*>(value.get())
-               ->value()
-               .ToDisplayString()
-        << "\n";
-  } else if (value->type() == DataType::kMatrix) {
-    out << static_cast<const MatrixData*>(value.get())->matrix()->ToString();
-  } else {
-    out << "<list of "
-        << static_cast<const ListData*>(value.get())->size() << ">\n";
-  }
-  return Status::OK();
-}
-
-std::vector<std::string> PrintInstruction::InputVars() const {
-  return input_.is_literal ? std::vector<std::string>{}
-                           : std::vector<std::string>{input_.name};
-}
-
-Status StopInstruction::Execute(ExecutionContext* ctx) const {
-  LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, message_));
-  std::string msg = "stop()";
-  if (value->type() == DataType::kScalar) {
-    msg = static_cast<const ScalarData*>(value.get())
-              ->value()
-              .ToDisplayString();
-  }
-  return Status::RuntimeError(msg);
-}
-
-std::vector<std::string> StopInstruction::InputVars() const {
-  return message_.is_literal ? std::vector<std::string>{}
-                             : std::vector<std::string>{message_.name};
-}
-
-Status ListInstruction::Execute(ExecutionContext* ctx) const {
-  std::vector<DataPtr> values;
-  std::vector<LineageItemPtr> items;
-  values.reserve(elements_.size());
-  items.reserve(elements_.size());
-  for (const Operand& op : elements_) {
-    LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, op));
-    values.push_back(std::move(value));
-    items.push_back(ctx->lineage_active() ? ResolveOperandLineage(ctx, op)
-                                          : nullptr);
-  }
-  LineageItemPtr list_item;
-  if (ctx->lineage_active()) {
-    std::vector<LineageItemPtr> inputs = items;
-    list_item = LineageItem::Create("list", std::move(inputs));
-  }
-  ctx->SetVariable(
-      output_,
-      std::make_shared<const ListData>(std::move(values), std::move(items)),
-      std::move(list_item));
-  return Status::OK();
-}
-
-std::vector<std::string> ListInstruction::InputVars() const {
-  std::vector<std::string> vars;
-  for (const Operand& op : elements_) {
-    if (!op.is_literal) vars.push_back(op.name);
-  }
-  return vars;
-}
-
-Status ListIndexInstruction::Execute(ExecutionContext* ctx) const {
-  LIMA_ASSIGN_OR_RETURN(DataPtr list_data, ResolveOperand(ctx, list_));
-  LIMA_ASSIGN_OR_RETURN(auto list, AsList(list_data));
-  LIMA_ASSIGN_OR_RETURN(DataPtr index_data, ResolveOperand(ctx, index_));
-  LIMA_ASSIGN_OR_RETURN(double index_value, AsNumber(index_data));
-  int64_t index = static_cast<int64_t>(std::llround(index_value));
-  if (index < 1 || index > list->size()) {
-    return Status::OutOfRange("list index " + std::to_string(index) +
-                              " out of range [1," +
-                              std::to_string(list->size()) + "]");
-  }
-  ctx->SetVariable(output_, list->elements()[index - 1],
-                   ctx->lineage_active()
-                       ? list->element_lineage()[index - 1]
-                       : nullptr);
-  return Status::OK();
-}
-
-std::vector<std::string> ListIndexInstruction::InputVars() const {
-  std::vector<std::string> vars;
-  if (!list_.is_literal) vars.push_back(list_.name);
-  if (!index_.is_literal) vars.push_back(index_.name);
-  return vars;
-}
-
-Status WriteInstruction::Execute(ExecutionContext* ctx) const {
-  LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, input_));
-  LIMA_ASSIGN_OR_RETURN(MatrixPtr matrix, AsMatrix(value));
-  LIMA_ASSIGN_OR_RETURN(DataPtr path_data, ResolveOperand(ctx, path_));
-  LIMA_ASSIGN_OR_RETURN(ScalarValue path_value, AsScalar(path_data));
-  if (!path_value.is_string()) {
-    return Status::TypeError("write: path must be a string");
-  }
-  const std::string& path = path_value.AsString();
-  if (EndsWith(path, ".csv")) {
-    LIMA_RETURN_NOT_OK(WriteMatrixCsv(path, *matrix));
-  } else {
-    LIMA_RETURN_NOT_OK(WriteMatrixFile(path, *matrix));
-  }
-  // Persist the lineage log alongside the data (Sec. 3.1).
-  if (ctx->lineage_active() && !input_.is_literal) {
-    LineageItemPtr item = ctx->lineage().Get(input_.name);
-    if (item != nullptr) {
-      std::ofstream log(path + ".lineage");
-      if (!log) return Status::IoError("cannot write " + path + ".lineage");
-      log << SerializeLineage(item);
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<std::string> WriteInstruction::InputVars() const {
-  std::vector<std::string> vars;
-  if (!input_.is_literal) vars.push_back(input_.name);
-  if (!path_.is_literal) vars.push_back(path_.name);
-  return vars;
-}
-
-Status ReadInstruction::Execute(ExecutionContext* ctx) const {
-  LIMA_ASSIGN_OR_RETURN(DataPtr path_data, ResolveOperand(ctx, path_));
-  LIMA_ASSIGN_OR_RETURN(ScalarValue path_value, AsScalar(path_data));
-  if (!path_value.is_string()) {
-    return Status::TypeError("read: path must be a string");
-  }
-  const std::string& path = path_value.AsString();
-  Result<Matrix> matrix = EndsWith(path, ".csv") ? ReadMatrixCsv(path)
-                                                 : ReadMatrixFile(path);
-  LIMA_RETURN_NOT_OK(matrix.status());
-  LineageItemPtr item;
-  if (ctx->lineage_active()) {
-    item = LineageItem::Create("read", {}, path);
-    item->RecordDims(matrix.ValueOrDie().rows(), matrix.ValueOrDie().cols());
-  }
-  ctx->SetVariable(output_, MakeMatrixData(std::move(matrix).ValueOrDie()),
-                   std::move(item));
-  return Status::OK();
-}
-
-std::vector<std::string> ReadInstruction::InputVars() const {
-  return path_.is_literal ? std::vector<std::string>{}
-                          : std::vector<std::string>{path_.name};
-}
-
-Status LineageOfInstruction::Execute(ExecutionContext* ctx) const {
-  if (input_.is_literal) {
-    ctx->SetVariable(output_,
-                     MakeStringData(LineageItem::CreateLiteral(
-                                        input_.literal.EncodeLineageLiteral())
-                                        ->ToString()),
-                     nullptr);
-    return Status::OK();
-  }
-  LineageItemPtr item = ctx->lineage().Get(input_.name);
-  if (item == nullptr) {
-    return Status::RuntimeError("lineage(" + input_.name +
-                                "): no lineage traced (tracing disabled?)");
-  }
-  ctx->SetVariable(output_, MakeStringData(SerializeLineage(item)), nullptr);
-  return Status::OK();
-}
-
-std::vector<std::string> LineageOfInstruction::InputVars() const {
-  return input_.is_literal ? std::vector<std::string>{}
-                           : std::vector<std::string>{input_.name};
 }
 
 Status CallFunction(ExecutionContext* ctx, const Function& fn,
@@ -376,14 +194,6 @@ Status FunctionCallInstruction::Execute(ExecutionContext* ctx) const {
   return CallFunction(ctx, *fn, values, items, output_vars_);
 }
 
-std::vector<std::string> FunctionCallInstruction::InputVars() const {
-  std::vector<std::string> vars;
-  for (const Operand& arg : args_) {
-    if (!arg.is_literal) vars.push_back(arg.name);
-  }
-  return vars;
-}
-
 std::string FunctionCallInstruction::ToString() const {
   std::string out = "fcall " + function_name_;
   for (const Operand& arg : args_) {
@@ -396,33 +206,6 @@ std::string FunctionCallInstruction::ToString() const {
     out += o;
   }
   return out;
-}
-
-Status EvalInstruction::Execute(ExecutionContext* ctx) const {
-  if (ctx->program() == nullptr) {
-    return Status::RuntimeError("no program registered for eval()");
-  }
-  LIMA_ASSIGN_OR_RETURN(DataPtr name_data, ResolveOperand(ctx, function_name_));
-  LIMA_ASSIGN_OR_RETURN(ScalarValue name_value, AsScalar(name_data));
-  if (!name_value.is_string()) {
-    return Status::TypeError("eval: function name must be a string");
-  }
-  const Function* fn = ctx->program()->GetFunction(name_value.AsString());
-  if (fn == nullptr) {
-    return Status::RuntimeError("eval: undefined function: " +
-                                name_value.AsString());
-  }
-  LIMA_ASSIGN_OR_RETURN(DataPtr args_data, ResolveOperand(ctx, args_list_));
-  LIMA_ASSIGN_OR_RETURN(auto args, AsList(args_data));
-  return CallFunction(ctx, *fn, args->elements(), args->element_lineage(),
-                      {output_});
-}
-
-std::vector<std::string> EvalInstruction::InputVars() const {
-  std::vector<std::string> vars;
-  if (!function_name_.is_literal) vars.push_back(function_name_.name);
-  if (!args_list_.is_literal) vars.push_back(args_list_.name);
-  return vars;
 }
 
 }  // namespace lima

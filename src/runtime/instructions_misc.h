@@ -59,72 +59,6 @@ class VariableInstruction : public Instruction {
   std::vector<std::string> names_;
 };
 
-/// print(expr): writes the rendered value plus newline to the context's
-/// print stream.
-class PrintInstruction : public Instruction {
- public:
-  explicit PrintInstruction(Operand input)
-      : Instruction("print"), input_(std::move(input)) {}
-
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {}; }
-
- private:
-  Operand input_;
-};
-
-/// stop(msg): aborts script execution with a RuntimeError.
-class StopInstruction : public Instruction {
- public:
-  explicit StopInstruction(Operand message)
-      : Instruction("stop"), message_(std::move(message)) {}
-
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {}; }
-
- private:
-  Operand message_;
-};
-
-/// list(e1, ..., en): bundles values, preserving each element's lineage so
-/// later list indexing restores fine-grained lineage.
-class ListInstruction : public Instruction {
- public:
-  ListInstruction(std::vector<Operand> elements, std::string output)
-      : Instruction("list"),
-        elements_(std::move(elements)),
-        output_(std::move(output)) {}
-
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {output_}; }
-
- private:
-  std::vector<Operand> elements_;
-  std::string output_;
-};
-
-/// l[i]: extracts element i (1-based) of a list with its original lineage.
-class ListIndexInstruction : public Instruction {
- public:
-  ListIndexInstruction(Operand list, Operand index, std::string output)
-      : Instruction("listidx"),
-        list_(std::move(list)),
-        index_(std::move(index)),
-        output_(std::move(output)) {}
-
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {output_}; }
-
- private:
-  Operand list_;
-  Operand index_;
-  std::string output_;
-};
-
 /// Invokes a user-defined function with positional arguments. Implements
 /// multi-level (function-level) reuse for deterministic functions
 /// (Sec. 4.1): a special "fcall" lineage item over the argument lineages
@@ -139,7 +73,9 @@ class FunctionCallInstruction : public Instruction {
         output_vars_(std::move(output_vars)) {}
 
   Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
+  std::vector<std::string> InputVars() const override {
+    return VariableNames(args_);
+  }
   std::vector<std::string> OutputVars() const override { return output_vars_; }
   std::string ToString() const override;
 
@@ -152,83 +88,37 @@ class FunctionCallInstruction : public Instruction {
   std::vector<std::string> output_vars_;
 };
 
-/// eval(fname, list(args...)): dynamic function dispatch by name, as used by
-/// the paper's generic gridSearch builtin (Example 1). Single output.
-class EvalInstruction : public Instruction {
+/// One instruction class for the non-computation opcodes: print, stop,
+/// list, listidx, write, readfile, lineageof and eval. Execute runs the
+/// opcode's `misc` row (runtime/kernels.h), which binds the outputs and
+/// their lineage itself: these ops never probe the lineage cache and do not
+/// count as executed instructions. Build instances through MakeInstruction
+/// (runtime/instruction_factory.h), which validates arity against the
+/// catalog.
+class MiscInstruction : public Instruction {
  public:
-  EvalInstruction(Operand function_name, Operand args_list, std::string output)
-      : Instruction("eval"),
-        function_name_(std::move(function_name)),
-        args_list_(std::move(args_list)),
-        output_(std::move(output)) {}
+  MiscInstruction(OpcodeId opcode, std::vector<Operand> operands,
+                  std::vector<std::string> outputs)
+      : Instruction(opcode),
+        run_(KernelRowOf(opcode).misc),
+        operands_(std::move(operands)),
+        outputs_(std::move(outputs)) {}
 
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {output_}; }
+  Status Execute(ExecutionContext* ctx) const override {
+    return run_(*this, ctx);
+  }
+  std::vector<std::string> InputVars() const override {
+    return VariableNames(operands_);
+  }
+  std::vector<std::string> OutputVars() const override { return outputs_; }
+
+  const std::vector<Operand>& operands() const { return operands_; }
+  const std::vector<std::string>& outputs() const { return outputs_; }
 
  private:
-  Operand function_name_;
-  Operand args_list_;
-  std::string output_;
-};
-
-/// write(X, "path"): persists a matrix in the LIMA binary format (or CSV
-/// when the path ends in .csv) and — when tracing is active — also writes
-/// the lineage log to "<path>.lineage" (Sec. 3.1).
-class WriteInstruction : public Instruction {
- public:
-  WriteInstruction(Operand input, Operand path)
-      : Instruction("write"),
-        input_(std::move(input)),
-        path_(std::move(path)) {}
-
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {}; }
-
- private:
-  Operand input_;
-  Operand path_;
-};
-
-/// read("path"): loads a matrix written by write(). Files are assumed
-/// immutable (Sec. 3.4), so the lineage is a "read" leaf identified by the
-/// path — repeated reads of one file share lineage and reuse.
-class ReadInstruction : public Instruction {
- public:
-  ReadInstruction(Operand path, std::string output)
-      : Instruction("readfile"),
-        path_(std::move(path)),
-        output_(std::move(output)) {}
-
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {output_}; }
-
-  const Operand& path() const { return path_; }
-
- private:
-  Operand path_;
-  std::string output_;
-};
-
-/// lineage(X): serializes the lineage DAG of a variable into a string
-/// scalar (Sec. 3.1, the user-facing lineage builtin). Yields an error
-/// string when tracing is disabled.
-class LineageOfInstruction : public Instruction {
- public:
-  LineageOfInstruction(Operand input, std::string output)
-      : Instruction("lineageof"),
-        input_(std::move(input)),
-        output_(std::move(output)) {}
-
-  Status Execute(ExecutionContext* ctx) const override;
-  std::vector<std::string> InputVars() const override;
-  std::vector<std::string> OutputVars() const override { return {output_}; }
-
- private:
-  Operand input_;
-  std::string output_;
+  MiscFn run_;
+  std::vector<Operand> operands_;
+  std::vector<std::string> outputs_;
 };
 
 /// Shared function-invocation path (fcall + eval): binds arguments in a

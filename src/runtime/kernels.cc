@@ -2,15 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <ostream>
 
 #include "common/check.h"
+#include "common/string_util.h"
+#include "lineage/serialize.h"
 #include "matrix/aggregates.h"
 #include "matrix/datagen.h"
 #include "matrix/factorize.h"
 #include "matrix/indexing.h"
 #include "matrix/matmul.h"
+#include "matrix/matrix_io.h"
 #include "matrix/reorg.h"
 #include "runtime/instruction.h"
+#include "runtime/instructions_misc.h"
+#include "runtime/program.h"
 
 namespace lima {
 
@@ -592,6 +599,180 @@ Result<Values> FillKernel(const KernelCall& c) {
   return One(Matrix(rows, cols, value));
 }
 
+// ---- Non-computation rows --------------------------------------------------
+
+/// Operand `i` as a string; `what` names it in the type error.
+Result<std::string> StringOperand(const MiscInstruction& self,
+                                  ExecutionContext* ctx, size_t i,
+                                  const char* what) {
+  LIMA_ASSIGN_OR_RETURN(DataPtr data, ResolveOperand(ctx, self.operands()[i]));
+  LIMA_ASSIGN_OR_RETURN(ScalarValue value, AsScalar(data));
+  if (!value.is_string()) {
+    return Status::TypeError(std::string(what) + " must be a string");
+  }
+  return value.AsString();
+}
+
+/// print(x): writes the rendered value plus newline to the print stream.
+Status PrintOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, self.operands()[0]));
+  std::ostream& out = ctx->print_stream();
+  if (value->type() == DataType::kScalar) {
+    out << static_cast<const ScalarData*>(value.get())
+               ->value()
+               .ToDisplayString()
+        << "\n";
+  } else if (value->type() == DataType::kMatrix) {
+    out << static_cast<const MatrixData*>(value.get())->matrix()->ToString();
+  } else {
+    out << "<list of "
+        << static_cast<const ListData*>(value.get())->size() << ">\n";
+  }
+  return Status::OK();
+}
+
+/// stop(msg): aborts script execution with a RuntimeError.
+Status StopOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, self.operands()[0]));
+  std::string msg = "stop()";
+  if (value->type() == DataType::kScalar) {
+    msg = static_cast<const ScalarData*>(value.get())
+              ->value()
+              .ToDisplayString();
+  }
+  return Status::RuntimeError(msg);
+}
+
+/// list(e1, ..., en): bundles values, preserving each element's lineage so
+/// later list indexing restores fine-grained lineage.
+Status ListOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  std::vector<DataPtr> values;
+  std::vector<LineageItemPtr> items;
+  values.reserve(self.operands().size());
+  items.reserve(self.operands().size());
+  for (const Operand& op : self.operands()) {
+    LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, op));
+    values.push_back(std::move(value));
+    items.push_back(ctx->lineage_active() ? ResolveOperandLineage(ctx, op)
+                                          : nullptr);
+  }
+  LineageItemPtr list_item;
+  if (ctx->lineage_active()) {
+    std::vector<LineageItemPtr> inputs = items;
+    list_item = LineageItem::Create("list", std::move(inputs));
+  }
+  ctx->SetVariable(
+      self.outputs()[0],
+      std::make_shared<const ListData>(std::move(values), std::move(items)),
+      std::move(list_item));
+  return Status::OK();
+}
+
+/// l[i]: extracts element i (1-based) of a list with its original lineage.
+Status ListIndexOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  LIMA_ASSIGN_OR_RETURN(DataPtr list_data,
+                        ResolveOperand(ctx, self.operands()[0]));
+  LIMA_ASSIGN_OR_RETURN(auto list, AsList(list_data));
+  LIMA_ASSIGN_OR_RETURN(DataPtr index_data,
+                        ResolveOperand(ctx, self.operands()[1]));
+  LIMA_ASSIGN_OR_RETURN(double index_value, AsNumber(index_data));
+  int64_t index = static_cast<int64_t>(std::llround(index_value));
+  if (index < 1 || index > list->size()) {
+    return Status::OutOfRange("list index " + std::to_string(index) +
+                              " out of range [1," +
+                              std::to_string(list->size()) + "]");
+  }
+  ctx->SetVariable(self.outputs()[0], list->elements()[index - 1],
+                   ctx->lineage_active()
+                       ? list->element_lineage()[index - 1]
+                       : nullptr);
+  return Status::OK();
+}
+
+/// write(X, "path"): persists a matrix in the LIMA binary format (or CSV
+/// when the path ends in .csv) and — when tracing is active — also writes
+/// the lineage log to "<path>.lineage" (Sec. 3.1).
+Status WriteOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  const Operand& input = self.operands()[0];
+  LIMA_ASSIGN_OR_RETURN(DataPtr value, ResolveOperand(ctx, input));
+  LIMA_ASSIGN_OR_RETURN(MatrixPtr matrix, AsMatrix(value));
+  LIMA_ASSIGN_OR_RETURN(std::string path,
+                        StringOperand(self, ctx, 1, "write: path"));
+  if (EndsWith(path, ".csv")) {
+    LIMA_RETURN_NOT_OK(WriteMatrixCsv(path, *matrix));
+  } else {
+    LIMA_RETURN_NOT_OK(WriteMatrixFile(path, *matrix));
+  }
+  // Persist the lineage log alongside the data (Sec. 3.1).
+  if (ctx->lineage_active() && !input.is_literal) {
+    LineageItemPtr item = ctx->lineage().Get(input.name);
+    if (item != nullptr) {
+      std::ofstream log(path + ".lineage");
+      if (!log) return Status::IoError("cannot write " + path + ".lineage");
+      log << SerializeLineage(item);
+    }
+  }
+  return Status::OK();
+}
+
+/// read("path"): loads a matrix written by write(). Files are assumed
+/// immutable (Sec. 3.4), so the lineage is a "read" leaf identified by the
+/// path — repeated reads of one file share lineage and reuse.
+Status ReadFileOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  LIMA_ASSIGN_OR_RETURN(std::string path,
+                        StringOperand(self, ctx, 0, "read: path"));
+  Result<Matrix> matrix = EndsWith(path, ".csv") ? ReadMatrixCsv(path)
+                                                 : ReadMatrixFile(path);
+  LIMA_RETURN_NOT_OK(matrix.status());
+  ctx->SetVariable(self.outputs()[0],
+                   MakeMatrixData(std::move(matrix).ValueOrDie()),
+                   ctx->lineage_active() ? LineageItem::Create("read", {}, path)
+                                         : nullptr);
+  return Status::OK();
+}
+
+/// lineage(X): serializes the lineage DAG of a variable into a string
+/// scalar (Sec. 3.1, the user-facing lineage builtin). Fails when tracing
+/// is disabled.
+Status LineageOfOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  const Operand& input = self.operands()[0];
+  if (input.is_literal) {
+    ctx->SetVariable(self.outputs()[0],
+                     MakeStringData(LineageItem::CreateLiteral(
+                                        input.literal.EncodeLineageLiteral())
+                                        ->ToString()),
+                     nullptr);
+    return Status::OK();
+  }
+  LineageItemPtr item = ctx->lineage().Get(input.name);
+  if (item == nullptr) {
+    return Status::RuntimeError("lineage(" + input.name +
+                                "): no lineage traced (tracing disabled?)");
+  }
+  ctx->SetVariable(self.outputs()[0], MakeStringData(SerializeLineage(item)),
+                   nullptr);
+  return Status::OK();
+}
+
+/// eval(fname, list(args...)): dynamic function dispatch by name, as used by
+/// the paper's generic gridSearch builtin (Example 1). Single output.
+Status EvalOp(const MiscInstruction& self, ExecutionContext* ctx) {
+  if (ctx->program() == nullptr) {
+    return Status::RuntimeError("no program registered for eval()");
+  }
+  LIMA_ASSIGN_OR_RETURN(std::string name,
+                        StringOperand(self, ctx, 0, "eval: function name"));
+  const Function* fn = ctx->program()->GetFunction(name);
+  if (fn == nullptr) {
+    return Status::RuntimeError("eval: undefined function: " + name);
+  }
+  LIMA_ASSIGN_OR_RETURN(DataPtr args_data,
+                        ResolveOperand(ctx, self.operands()[1]));
+  LIMA_ASSIGN_OR_RETURN(auto args, AsList(args_data));
+  return CallFunction(ctx, *fn, args->elements(), args->element_lineage(),
+                      self.outputs());
+}
+
 // ---- The table --------------------------------------------------------------
 
 struct NamedKernel {
@@ -601,7 +782,7 @@ struct NamedKernel {
 
 // Every catalog compute/datagen opcode except the elementwise operators
 // (rows derived from ParseBinaryOp/ParseUnaryOp), the aggregates
-// (kAggregates) and "fused".
+// (kAggregates) and "fused"; then the non-computation opcodes.
 const NamedKernel kKernels[] = {
     {"ifelse", {.compute = IfElseKernel}},
     {"mm", {.compute = MatMulKernel}},
@@ -630,16 +811,18 @@ const NamedKernel kKernels[] = {
     {"castdts", {.compute = CastToScalarKernel}},
     {"castsdm", {.compute = CastToMatrixKernel}},
     {"toString", {.compute = ToStringKernel}},
-    {"rand",
-     {.compute = RandKernel,
-      .seed_operand = 6,
-      .records_lineage_dims = true}},
-    {"sample",
-     {.compute = SampleKernel,
-      .seed_operand = 2,
-      .records_lineage_dims = true}},
-    {"seq", {.compute = SeqKernel, .records_lineage_dims = true}},
-    {"fill", {.compute = FillKernel, .records_lineage_dims = true}},
+    {"rand", {.compute = RandKernel, .seed_operand = 6}},
+    {"sample", {.compute = SampleKernel, .seed_operand = 2}},
+    {"seq", {.compute = SeqKernel}},
+    {"fill", {.compute = FillKernel}},
+    {"list", {.misc = ListOp}},
+    {"listidx", {.misc = ListIndexOp}},
+    {"eval", {.misc = EvalOp}},
+    {"readfile", {.misc = ReadFileOp}},
+    {"write", {.misc = WriteOp}},
+    {"print", {.misc = PrintOp}},
+    {"stop", {.misc = StopOp}},
+    {"lineageof", {.misc = LineageOfOp}},
 };
 
 class KernelTable {

@@ -15,6 +15,7 @@ namespace lima {
 
 class ComputationInstruction;
 class ExecutionContext;
+class MiscInstruction;
 
 /// Per-execution transient state (a system-generated seed); lives on the
 /// stack of Execute so shared instructions stay immutable.
@@ -39,6 +40,10 @@ struct KernelCall {
 /// Computes the output values (one per output name).
 using KernelFn = Result<std::vector<DataPtr>> (*)(const KernelCall& call);
 
+/// Runs one non-computation opcode end to end: resolves its operands,
+/// performs its effect, and binds its outputs with their lineage.
+using MiscFn = Status (*)(const MiscInstruction& self, ExecutionContext* ctx);
+
 /// What an aggregate reduces: all cells to a scalar, each column to a
 /// 1 x cols row, or each row to a rows x 1 column. A column aggregate
 /// therefore splits over cbind and a row aggregate over rbind, which is
@@ -54,11 +59,15 @@ struct AggregateKernel {
   Matrix (*partial)(const Matrix& m, const ParallelContext* par);
 };
 
-/// One catalog opcode's kernel row: a plain function pointer plus the
+/// One catalog opcode's runtime row: a plain function pointer plus the
 /// per-opcode facts ComputationInstruction::Execute keys on. Adding an
 /// opcode means one catalog row (analysis/opcode_registry) and one row here.
 struct KernelRow {
+  /// Compute and datagen opcodes, run by ComputationInstruction.
   KernelFn compute = nullptr;
+  /// print, stop, list, listidx, write, readfile, lineageof and eval, run
+  /// by MiscInstruction.
+  MiscFn misc = nullptr;
   /// Lineage-transparent ops trace their unrewritten expansion instead of a
   /// node of their own; nullptr = one item per output.
   LineageItemPtr (*expand_lineage)(const std::vector<LineageItemPtr>& in) =
@@ -67,9 +76,6 @@ struct KernelRow {
   /// negative seed value requests a system-generated seed, drawn before
   /// lineage tracing and traced as a literal (Sec. 3.1).
   int seed_operand = -1;
-  /// Generators stamp the produced dimensions onto their lineage items
-  /// (LineageItem::RecordDims).
-  bool records_lineage_dims = false;
   /// The operator of an elementwise row.
   BinaryOp binary = BinaryOp::kAdd;
   UnaryOp unary = UnaryOp::kExp;
@@ -77,9 +83,9 @@ struct KernelRow {
   const AggregateKernel* aggregate = nullptr;
 };
 
-/// The row of `opcode`, dense over catalog ids. Opcodes without a kernel —
-/// non-compute ops, "fused" (whose step program lives in its instruction)
-/// and non-catalog ids — get an empty row (compute == nullptr).
+/// The row of `opcode`, dense over catalog ids. Opcodes without one —
+/// bookkeeping, fcall, "fused" (whose step program lives in its
+/// instruction) and non-catalog ids — get an empty row.
 const KernelRow& KernelRowOf(OpcodeId opcode);
 
 /// Scalar-scalar semantics, shared with the compiler's constant folding.

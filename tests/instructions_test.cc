@@ -225,10 +225,10 @@ TEST_F(InstructionTest, HandAssembledProgramWithLoop) {
 TEST_F(InstructionTest, ListBundlesLineage) {
   Bind("A", Matrix(1, 1, 1.0));
   Bind("B", Matrix(1, 1, 2.0));
-  ListInstruction make_list({Operand::Var("A"), Operand::Var("B")}, "l");
-  ASSERT_TRUE(make_list.Execute(&context_).ok());
-  ListIndexInstruction index(Operand::Var("l"), Operand::LitInt(2), "e");
-  ASSERT_TRUE(index.Execute(&context_).ok());
+  auto make_list = Make("list", {Operand::Var("A"), Operand::Var("B")}, {"l"});
+  ASSERT_TRUE(make_list->Execute(&context_).ok());
+  auto index = Make("listidx", {Operand::Var("l"), Operand::LitInt(2)}, {"e"});
+  ASSERT_TRUE(index->Execute(&context_).ok());
   EXPECT_DOUBLE_EQ(MatrixOf("e")->At(0, 0), 2.0);
   // The element keeps its original lineage, not a list-indexing wrapper.
   EXPECT_EQ(context_.lineage().Get("e")->opcode(), "read");
@@ -237,11 +237,11 @@ TEST_F(InstructionTest, ListBundlesLineage) {
 TEST_F(InstructionTest, StopAndPrintSideEffects) {
   std::ostringstream out;
   context_.set_print_stream(&out);
-  PrintInstruction print(Operand::LitString("hello"));
-  ASSERT_TRUE(print.Execute(&context_).ok());
+  auto print = Make("print", {Operand::LitString("hello")}, {});
+  ASSERT_TRUE(print->Execute(&context_).ok());
   EXPECT_EQ(out.str(), "hello\n");
-  StopInstruction stop(Operand::LitString("bang"));
-  Status status = stop.Execute(&context_);
+  auto stop = Make("stop", {Operand::LitString("bang")}, {});
+  Status status = stop->Execute(&context_);
   EXPECT_EQ(status.code(), StatusCode::kRuntimeError);
   EXPECT_EQ(status.message(), "bang");
 }

@@ -11,7 +11,6 @@
 #include "matrix/indexing.h"
 #include "matrix/matmul.h"
 #include "matrix/reorg.h"
-#include "matrix/sparse_matrix.h"
 
 namespace lima {
 namespace {
@@ -500,45 +499,6 @@ TEST(DatagenTest, SeqVariants) {
       Matrix(5, 1, {0, 0.25, 0.5, 0.75, 1})));
   EXPECT_FALSE(SeqMatrix(1, 5, 0).ok());
   EXPECT_FALSE(SeqMatrix(5, 1, 1).ok());
-}
-
-// ---- Sparse ----------------------------------------------------------------
-
-TEST(SparseTest, FromDenseRoundTrip) {
-  Matrix dense(3, 4, {1, 0, 2, 0, 0, 0, 0, 3, 4, 0, 0, 5});
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  EXPECT_EQ(sparse.nnz(), 5);
-  EXPECT_TRUE(sparse.ToDense().EqualsApprox(dense));
-}
-
-TEST(SparseTest, FromTripletsMergesDuplicates) {
-  auto sparse = SparseMatrix::FromTriplets(2, 2, {{0, 0, 1.0}, {0, 0, 2.0},
-                                                  {1, 1, 5.0}});
-  ASSERT_TRUE(sparse.ok());
-  EXPECT_EQ(sparse->nnz(), 2);
-  EXPECT_DOUBLE_EQ(sparse->ToDense().At(0, 0), 3.0);
-  EXPECT_FALSE(SparseMatrix::FromTriplets(2, 2, {{2, 0, 1.0}}).ok());
-}
-
-TEST(SparseTest, SpMVMatchesDense) {
-  Matrix dense = RandomMatrix(20, 15, 14);
-  for (int64_t i = 0; i < dense.size(); ++i) {
-    if (std::fabs(dense.mutable_data()[i]) < 0.7) dense.mutable_data()[i] = 0;
-  }
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  Matrix x = RandomMatrix(15, 1, 15);
-  EXPECT_TRUE(sparse.SpMV(x)->EqualsApprox(ReferenceMatMul(dense, x), 1e-10));
-  EXPECT_FALSE(sparse.SpMV(Matrix(14, 1)).ok());
-}
-
-TEST(SparseTest, SpMMMatchesDense) {
-  Matrix dense = RandomMatrix(10, 12, 16);
-  for (int64_t i = 0; i < dense.size(); ++i) {
-    if (std::fabs(dense.mutable_data()[i]) < 0.5) dense.mutable_data()[i] = 0;
-  }
-  SparseMatrix sparse = SparseMatrix::FromDense(dense);
-  Matrix b = RandomMatrix(12, 6, 17);
-  EXPECT_TRUE(sparse.SpMM(b)->EqualsApprox(ReferenceMatMul(dense, b), 1e-10));
 }
 
 }  // namespace
