@@ -113,7 +113,7 @@ assert sum(op["invocations"] for op in ops) > 0
 assert sum(op["total_nanos"] for op in ops) > 0
 events, counters = report["cache_events"], report["counters"]
 for kind, counter in [("evict", "evictions"), ("spill", "spills"),
-                      ("restore", "restores")]:
+                      ("restore", "restores"), ("refuse", "cache_refusals")]:
     assert events[kind]["count"] == counters[counter], (kind, counter)
 assert events["hit"]["count"] > 0, "S2 reuse must produce cache hits"
 print("profile smoke: OK ({} ops, {} hits)".format(

@@ -99,10 +99,7 @@ FusionLinkCost EstimateFusionLink(int64_t cells, int new_interpreted_steps) {
     return link;
   }
   link.saved_bytes = cells * static_cast<int64_t>(sizeof(double));
-  // The materialized intermediate is written once and read once.
-  double saving = 2.0 * static_cast<double>(link.saved_bytes) *
-                      cost::kNanosPerByte +
-                  cost::kAllocNanos;
+  double saving = cost::MaterializeNanos(link.saved_bytes);
   double overhead = static_cast<double>(cells) *
                     static_cast<double>(new_interpreted_steps) *
                     cost::kFusedStepOverheadNanos;

@@ -32,6 +32,14 @@ inline constexpr double kProbeNanos = 450.0;
 /// Allocating + registering one intermediate matrix buffer.
 inline constexpr double kAllocNanos = 600.0;
 
+/// Materializing an intermediate of `bytes`: one allocation, one write and
+/// one read of every byte. Fusion saves this by not materializing
+/// (EstimateFusionLink); the lineage cache refuses, under memory pressure, a
+/// first-seen value whose compute time is below it (LineageCache::Put).
+inline double MaterializeNanos(int64_t bytes) {
+  return 2.0 * static_cast<double>(bytes) * kNanosPerByte + kAllocNanos;
+}
+
 /// Fused-interpreter overhead per cell per step, relative to the dedicated
 /// vectorized kernels (the fused kernel dispatches on step kind per cell).
 inline constexpr double kFusedStepOverheadNanos = 1.0;

@@ -16,6 +16,8 @@ const char* CacheEventKindToString(CacheEventKind kind) {
       return "restore";
     case CacheEventKind::kRestoreFail:
       return "restore_fail";
+    case CacheEventKind::kRefuse:
+      return "refuse";
   }
   return "unknown";
 }

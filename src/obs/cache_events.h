@@ -19,9 +19,10 @@ enum class CacheEventKind {
   kSpill,        ///< evicted entry written to disk instead of deleted
   kRestore,      ///< spilled entry read back on a hit
   kRestoreFail,  ///< spill file unreadable/corrupt; entry dropped
+  kRefuse,       ///< put refused at admission: cheap, first seen, under pressure
 };
 
-inline constexpr int kNumCacheEventKinds = 6;
+inline constexpr int kNumCacheEventKinds = 7;
 
 const char* CacheEventKindToString(CacheEventKind kind);
 

@@ -6,10 +6,12 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <system_error>
 #include <vector>
 
+#include "analysis/cost_model.h"
 #include "common/timer.h"
 #include "matrix/matrix_io.h"
 #include "reuse/partial_rewrites.h"
@@ -208,11 +210,26 @@ bool LineageCache::RestoreEntry(Shard* shard, EntryMap::iterator it) {
   return true;
 }
 
+void LineageCache::EvictOverBudget(TenantState* tenant) {
+  if (tenant != nullptr) {
+    const int64_t budget = tenant->budget_bytes.load(std::memory_order_relaxed);
+    if (budget >= 0 &&
+        tenant->resident_bytes.load(std::memory_order_relaxed) > budget) {
+      EvictUntilFits(tenant);
+    }
+  }
+  if (size_bytes_.load(std::memory_order_relaxed) >
+      budget_bytes_.load(std::memory_order_relaxed)) {
+    EvictUntilFits();
+  }
+}
+
 void LineageCache::EvictPinned(Entry* entry,
                                std::unique_lock<std::mutex>* lock) {
   entry->pins++;
+  TenantState* owner = entry->tenant;
   lock->unlock();
-  EvictUntilFits();
+  EvictOverBudget(owner);
   lock->lock();
   entry->pins--;
 }
@@ -225,6 +242,34 @@ std::shared_ptr<LineageCache::Entry> LineageCache::NewEntry(
   return entry;
 }
 
+bool LineageCache::Refuses(const Shard& shard, uint64_t key_hash,
+                           int64_t size, double compute_seconds,
+                           const TenantState* tenant, int64_t budget) const {
+  const int64_t tenant_budget =
+      tenant != nullptr ? tenant->budget_bytes.load(std::memory_order_relaxed)
+                        : -1;
+  const bool pressure =
+      size_bytes_.load(std::memory_order_relaxed) + size >
+          LowWaterMark(budget) ||
+      (tenant_budget >= 0 &&
+       tenant->resident_bytes.load(std::memory_order_relaxed) + size >
+           tenant_budget);
+  return pressure && compute_seconds * 1e9 < cost::MaterializeNanos(size) &&
+         shard.ghost_refs.count(key_hash) == 0;
+}
+
+void LineageCache::RememberGhost(Shard* shard, uint64_t key_hash,
+                                 int64_t refs) {
+  std::unordered_map<uint64_t, int64_t>& ghosts = shard->ghost_refs;
+  if (ghosts.size() > kMaxGhostsPerShard) {
+    for (auto it = ghosts.begin(); it != ghosts.end();) {
+      it->second /= 2;
+      it = it->second == 0 ? ghosts.erase(it) : std::next(it);
+    }
+  }
+  ghosts[key_hash] = refs;
+}
+
 void LineageCache::RecordEvent(CacheEventKind kind, int64_t size_bytes,
                                double score, const Shard& shard,
                                uint64_t key_hash) {
@@ -235,6 +280,9 @@ void LineageCache::RecordEvent(CacheEventKind kind, int64_t size_bytes,
 }
 
 void LineageCache::EvictUntilFits(TenantState* owner) {
+  // Deleted victims are extracted into `deleted`, which outlives
+  // `evict_lock`: their values are freed after the pass holds no lock.
+  std::vector<EntryMap::node_type> deleted;
   // One evictor at a time; shard locks are taken strictly after evict_mu_
   // and one at a time, so the pass cannot deadlock against probes/puts.
   std::lock_guard<std::mutex> evict_lock(evict_mu_);
@@ -252,7 +300,7 @@ void LineageCache::EvictUntilFits(TenantState* owner) {
   // then evict in ascending score order. The global pass stops at 80% of
   // the budget (hysteresis), so back-to-back Puts do not rescan; the tenant
   // pass stops as soon as the owner fits.
-  const int64_t target = owner != nullptr ? budget : budget - budget / 5;
+  const int64_t target = owner != nullptr ? budget : LowWaterMark(budget);
   const size_t nshards = shards_.size();
   // Global sampled scan: small caches scan everything; large shard counts
   // scan a rotating half per round so a single pass stays cheap. The
@@ -305,8 +353,7 @@ void LineageCache::EvictUntilFits(TenantState* owner) {
       if (entry.tenant != nullptr) {
         entry.tenant->evictions.fetch_add(1, std::memory_order_relaxed);
       }
-      if (shard.ghost_refs.size() > 100000) shard.ghost_refs.clear();
-      shard.ghost_refs[key_hash] = entry.refs;
+      RememberGhost(&shard, key_hash, entry.refs);
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
       stats_->evictions.fetch_add(1, std::memory_order_relaxed);
       RecordEvent(CacheEventKind::kEvict, entry.size_bytes, victim.score,
@@ -324,7 +371,7 @@ void LineageCache::EvictUntilFits(TenantState* owner) {
                       shard, key_hash);
         }
       }
-      if (!spilled) shard.entries.erase(it);
+      if (!spilled) deleted.push_back(shard.entries.extract(it));
     }
   }
   if (owner == nullptr) evict_cursor_ = cursor;
@@ -427,23 +474,41 @@ void LineageCache::Put(const LineageItemPtr& key, DataPtr value,
   {
     std::unique_lock<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(key);
+    const bool fresh = it == shard.entries.end();
 
     // Objects larger than the budget are not subject to caching (Sec. 4.3).
     if (size > budget) {
-      if (it != shard.entries.end() && it->second->placeholder) {
+      if (!fresh && it->second->placeholder) {
         shard.entries.erase(it);
         shard.cv.notify_all();
       }
       return;
     }
-
-    // One fill path for a claimed placeholder and a fresh entry.
-    if (it == shard.entries.end()) {
-      it = shard.entries.emplace(key, NewEntry(&shard, key)).first;
-    } else if (!it->second->placeholder &&
-               (it->second->value != nullptr || it->second->spilled)) {
+    if (!fresh && !it->second->placeholder &&
+        (it->second->value != nullptr || it->second->spilled)) {
       return;  // Already cached.
     }
+
+    // Admission: under pressure, a first-seen value cheaper to recompute
+    // than to keep is refused. Its key becomes a ghost, so the next put of
+    // the same key is admitted.
+    const uint64_t key_hash = key->hash();
+    if (Refuses(shard, key_hash, size, compute_seconds, tenant, budget)) {
+      int64_t refs = 1;
+      if (!fresh) {
+        refs = it->second->refs;
+        shard.entries.erase(it);
+        shard.cv.notify_all();
+      }
+      RememberGhost(&shard, key_hash, refs);
+      shard.refusals.fetch_add(1, std::memory_order_relaxed);
+      stats_->cache_refusals.fetch_add(1, std::memory_order_relaxed);
+      RecordEvent(CacheEventKind::kRefuse, size, 0, shard, key_hash);
+      return;
+    }
+
+    // One fill path for a claimed placeholder and a fresh entry.
+    if (fresh) it = shard.entries.emplace(key, NewEntry(&shard, key)).first;
     Entry& entry = *it->second;
     const bool filled_placeholder = entry.placeholder;
     entry.placeholder = false;
@@ -457,15 +522,7 @@ void LineageCache::Put(const LineageItemPtr& key, DataPtr value,
     if (filled_placeholder) shard.cv.notify_all();
     if (tenant != nullptr) tenant->puts.fetch_add(1, std::memory_order_relaxed);
   }
-  // Per-tenant budget first (evicts only the offending tenant's entries),
-  // then the global pass; both run without the shard lock.
-  if (tenant != nullptr &&
-      tenant->budget_bytes.load(std::memory_order_relaxed) >= 0 &&
-      tenant->resident_bytes.load(std::memory_order_relaxed) >
-          tenant->budget_bytes.load(std::memory_order_relaxed)) {
-    EvictUntilFits(tenant);
-  }
-  if (size_bytes_.load(std::memory_order_relaxed) > budget) EvictUntilFits();
+  EvictOverBudget(tenant);
 }
 
 void LineageCache::Abort(const LineageItemPtr& key) {

@@ -21,6 +21,7 @@ namespace lima {
 /// CacheShardStats member and a profile-report column. hits + misses ==
 /// probes: every Probe() resolves to exactly one of the two, including
 /// probes that blocked on a placeholder first or registered a claim.
+/// refusals counts puts refused at admission (LineageCache::Put).
 #define LIMA_CACHE_SHARD_COUNTERS(X) \
   X(probes)                          \
   X(hits)                            \
@@ -29,7 +30,8 @@ namespace lima {
   X(placeholder_steals)              \
   X(evictions)                       \
   X(spills)                          \
-  X(restores)
+  X(restores)                        \
+  X(refusals)
 
 /// The per-tenant counter table: X(field) is a relaxed atomic per tenant, a
 /// CacheTenantStats member, a column of the profile report and the serve
@@ -104,7 +106,11 @@ struct CacheEntryMeta {
 ///  - full reuse + placeholder entries for task-parallel workers (Sec. 4.1),
 ///  - partial-rewrite reuse with compensation plans (Sec. 4.2),
 ///  - cost-based eviction policies (LRU / DAG-Height / Cost&Size, Table 1)
-///    and disk spilling with bandwidth adaptation (Sec. 4.3).
+///    and disk spilling with bandwidth adaptation (Sec. 4.3),
+///  - cost-aware admission: above the eviction low-water mark, a put whose
+///    compute time is below the cost of materializing its bytes
+///    (cost::MaterializeNanos) and whose key has no ghost history is
+///    refused; the key becomes a ghost, so its second sighting is admitted.
 ///
 /// Keys are lineage items; equality is structural DAG equality with hash
 /// pruning, so equivalent computations collide regardless of where (which
@@ -185,8 +191,8 @@ class LineageCache : public ReuseCache {
   std::vector<CacheTenantStats> TenantStatsSnapshot() const;
 
   /// Attaches a structured cache-event log (observability subsystem);
-  /// nullptr detaches. Events: hit/miss/evict/spill/restore/restore_fail
-  /// with sizes, eviction scores, shard index, and key hash.
+  /// nullptr detaches. Events: hit/miss/evict/spill/restore/restore_fail/
+  /// refuse with sizes, eviction scores, shard index, and key hash.
   void set_event_log(CacheEventLog* events) {
     events_.store(events, std::memory_order_release);
   }
@@ -224,6 +230,9 @@ class LineageCache : public ReuseCache {
   int64_t ImportSnapshot(const std::vector<SnapshotEntry>& entries,
                          const std::vector<std::pair<uint64_t, int64_t>>& ghosts,
                          const std::vector<CacheTenantStats>& tenants);
+
+  /// Ghost keys one shard remembers before its history ages (halves).
+  static constexpr size_t kMaxGhostsPerShard = 100000;
 
  private:
 #define LIMA_CACHE_ATOMIC(field) std::atomic<int64_t> field{0};
@@ -284,9 +293,11 @@ class LineageCache : public ReuseCache {
     /// transition (fill, abort, clear, oversized drop) notifies.
     std::condition_variable cv;
     EntryMap entries;
-    /// Reference counts of evicted keys ("ghosts"): a re-inserted entry
-    /// keeps its access history, so repeatedly-missed values gain Cost&Size
-    /// score and eventually stay resident (the Fig. 8(a) P2 behavior).
+    /// Reference counts of evicted and refused keys ("ghosts"): a
+    /// re-inserted entry keeps its access history, so repeatedly-missed
+    /// values gain Cost&Size score and eventually stay resident (the
+    /// Fig. 8(a) P2 behavior), and a refused key is admitted when seen
+    /// again. Aged by RememberGhost.
     std::unordered_map<uint64_t, int64_t> ghost_refs;
     // Stat counters (relaxed; per shard so the hot path shares no cache
     // line across stripes).
@@ -307,6 +318,24 @@ class LineageCache : public ReuseCache {
   /// Eviction score (Table 1); the entry with the smallest score is evicted
   /// first.
   double Score(const Entry& entry) const;
+
+  /// Where the global eviction pass stops (hysteresis), and above which
+  /// admission may refuse a put.
+  static int64_t LowWaterMark(int64_t budget) { return budget - budget / 5; }
+
+  /// Admission (Put): true when a put of `size` bytes computed in
+  /// `compute_seconds` would push the cache past its low-water mark or
+  /// `tenant` past its budget, costs less to recompute than to
+  /// materialize, and its key has no ghost history. Requires the shard lock.
+  bool Refuses(const Shard& shard, uint64_t key_hash, int64_t size,
+               double compute_seconds, const TenantState* tenant,
+               int64_t budget) const;
+
+  /// Records `refs` as the ghost history of `key_hash`. Past
+  /// kMaxGhostsPerShard keys the history ages first, TinyLFU-style: every
+  /// count is halved and the keys that reach zero are forgotten. Requires
+  /// the shard lock.
+  static void RememberGhost(Shard* shard, uint64_t key_hash, int64_t refs);
 
   /// The eviction pass (docs/CONCURRENCY.md). Global mode (`owner` null)
   /// evicts (or spills) any entries until size_bytes_ is back under the
@@ -345,9 +374,14 @@ class LineageCache : public ReuseCache {
   /// orphan files) and `it` is invalidated.
   bool RestoreEntry(Shard* shard, EntryMap::iterator it);
 
-  /// Runs the global eviction pass after a restore pushed size_bytes_ back
-  /// up, with the shard `lock` released and `entry` pinned (Entry::pins) so
-  /// the value being handed out stays resident.
+  /// After bytes were charged: the tenant pass when `tenant` is over its
+  /// budget (only its own entries go), then the global pass when the cache
+  /// is over budget. Must be called WITHOUT any shard lock held.
+  void EvictOverBudget(TenantState* tenant);
+
+  /// Runs EvictOverBudget for the entry's owning tenant after a restore
+  /// charged it, with the shard `lock` released and `entry` pinned
+  /// (Entry::pins) so the value being handed out stays resident.
   void EvictPinned(Entry* entry, std::unique_lock<std::mutex>* lock);
 
   /// A new entry for `key`, its reference count seeded from the shard's

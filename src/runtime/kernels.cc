@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "lineage/serialize.h"
 #include "matrix/aggregates.h"
 #include "matrix/datagen.h"
@@ -385,10 +386,10 @@ Result<Values> TsmmCbindKernel(const KernelCall& c) {
     }
   }
   if (taa == nullptr) {
-    Matrix computed = Tsmm(*a, /*left=*/true, ctx->parallel());
-    taa = MakeMatrixPtr(std::move(computed));
+    StopWatch watch;
+    taa = MakeMatrixPtr(Tsmm(*a, /*left=*/true, ctx->parallel()));
     if (cache != nullptr && taa_key != nullptr && ctx->reuse_active()) {
-      cache->Put(taa_key, MakeMatrixData(taa), 0.0);
+      cache->Put(taa_key, MakeMatrixData(taa), watch.ElapsedSeconds());
     }
   }
 

@@ -37,6 +37,7 @@ namespace lima {
   X(evictions, "evictions")                           \
   X(spills, "spills")                                 \
   X(restores, "restores")                             \
+  X(cache_refusals, "refusals")                       \
   X(dedup_patches_created, "dedup_patches")           \
   X(dedup_items_created, "dedup_items")               \
   X(parfor_serialized, "parfor_serialized")           \

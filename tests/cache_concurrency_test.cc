@@ -272,6 +272,57 @@ TEST(CacheConcurrencyTest, AbortWakesAllWaiters) {
   EXPECT_TRUE(cache.Contains(key));
 }
 
+/// A put refused at admission releases its placeholder like Abort: every
+/// waiter wakes, one re-claims and its put (the key's second sighting) is
+/// admitted, the rest hit. A lost wakeup would surface as a placeholder
+/// steal after the 2s timeout.
+TEST(CacheConcurrencyTest, RefusedPutWakesAllWaiters) {
+  constexpr int kWaiters = 3;
+  LimaConfig config = LimaConfig::Lima();
+  config.cache_shards = 4;
+  config.cache_budget_bytes = 1000;  // low-water mark 800 B
+  config.placeholder_wait_millis = 2000;
+  RuntimeStats stats;
+  LineageCache cache(config, &stats);
+  cache.Put(Key("filler"), Value(100), /*compute_seconds=*/100.0);
+  LineageItemPtr key = Key("contended");
+
+  ASSERT_EQ(cache.Probe(key, /*claim=*/true).kind,
+            ReuseCache::ProbeKind::kClaimed);
+
+  std::atomic<int> claimed{0};
+  std::atomic<int> hit{0};
+  std::vector<std::thread> waiters;
+  waiters.reserve(kWaiters);
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&] {
+      ReuseCache::ProbeResult r = cache.Probe(key, /*claim=*/true);
+      if (r.kind == ReuseCache::ProbeKind::kClaimed) {
+        cache.Put(key, Value(2), /*compute_seconds=*/0.0);
+        claimed.fetch_add(1);
+      } else if (r.kind == ReuseCache::ProbeKind::kHit) {
+        hit.fetch_add(1);
+      }
+    });
+  }
+  StopWatch watch;
+  while (stats.placeholder_waits.load() < kWaiters &&
+         watch.ElapsedSeconds() < 10.0) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(stats.placeholder_waits.load(), kWaiters);
+  cache.Put(key, Value(2), /*compute_seconds=*/0.0);  // cheap, first seen
+  watch.Restart();
+  for (std::thread& th : waiters) th.join();
+
+  EXPECT_LT(watch.ElapsedSeconds(), 1.0);
+  EXPECT_EQ(claimed.load(), 1);
+  EXPECT_EQ(hit.load(), kWaiters - 1);
+  EXPECT_EQ(stats.placeholder_steals.load(), 0);
+  EXPECT_EQ(stats.cache_refusals.load(), 1);
+  EXPECT_TRUE(cache.Contains(key));
+}
+
 /// Regression for the dead-producer hazard: a claimant that never calls
 /// Put/Abort (crashed worker) must not block waiters forever. After
 /// placeholder_wait_millis a claiming waiter steals the claim, recomputes,

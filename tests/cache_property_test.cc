@@ -7,6 +7,7 @@
 //   - every kEvict event names a key that was resident when it fired (via
 //     the event's key_hash),
 //   - every kRestore follows a kSpill of the same key,
+//   - a kRefuse (a put refused at admission) leaves its key non-resident,
 //   - per shard, hits + misses == probes, and the totals match the number
 //     of Probe() calls issued.
 // The tenant cases replay the same op mix under three tenant scopes, one
@@ -74,6 +75,10 @@ struct ShadowModel {
           break;
         case CacheEventKind::kRestoreFail:
           ADD_FAILURE() << "unexpected restore failure";
+          break;
+        case CacheEventKind::kRefuse:
+          // The caller marks a put key resident before applying events.
+          resident.erase(e.key_hash);
           break;
         case CacheEventKind::kHit:
         case CacheEventKind::kMiss:
@@ -181,13 +186,18 @@ void RunRandomOps(int shards, EvictionPolicy policy, bool spilling,
       total.evictions += s.evictions;
       total.spills += s.spills;
       total.restores += s.restores;
+      total.refusals += s.refusals;
     }
     EXPECT_EQ(total.probes, my_probes);
     EXPECT_EQ(total.hits + total.misses, total.probes);
     EXPECT_EQ(stats.evictions.load(), total.evictions);
     EXPECT_EQ(stats.spills.load(), total.spills);
     EXPECT_EQ(stats.restores.load(), total.restores);
+    EXPECT_EQ(stats.cache_refusals.load(), total.refusals);
+    EXPECT_EQ(events.TakeSnapshot().of(CacheEventKind::kRefuse).count,
+              total.refusals);
     EXPECT_GT(total.evictions, 0) << "op mix never triggered eviction";
+    EXPECT_GT(total.refusals, 0) << "op mix never triggered a refusal";
     if (spilling) {
       EXPECT_GT(total.spills, 0) << "op mix never triggered a spill";
     }
@@ -199,10 +209,8 @@ void RunRandomOps(int shards, EvictionPolicy policy, bool spilling,
 
 /// Tenant variant: every op runs under one of three TenantScopes and
 /// "alice" has a small tenant budget. After every op
-///   - alice's resident bytes are within her budget, plus whatever was
-///     restored for her since her last put (a restore charges the owning
-///     tenant but runs only the global pass; her next put runs her
-///     tenant pass),
+///   - alice's resident bytes are within her budget (a put runs the
+///     putting tenant's pass, a restore the owning tenant's),
 ///   - the tenants' resident bytes sum to SizeInBytes(),
 ///   - per tenant, hits + misses == probes == the Probe() calls it issued.
 /// With the global budget above the working set only the tenant pass
@@ -248,7 +256,6 @@ void RunTenantOps(int shards, bool spilling, int64_t global_budget,
     Rng rng(seed);
     std::unordered_map<uint64_t, std::string> owner;
     std::unordered_map<std::string, int64_t> my_probes;
-    int64_t alice_restored = 0;  // bytes restored for alice since her put
     for (int op = 0; op < kOps; ++op) {
       SCOPED_TRACE("op " + std::to_string(op));
       const std::string& tenant = tenants[rng.NextBounded(tenants.size())];
@@ -269,7 +276,6 @@ void RunTenantOps(int shards, bool spilling, int64_t global_budget,
           } else {
             cache.Put(key, Value(rows[i]), computes[i]);
             owner[key->hash()] = tenant;
-            if (tenant == "alice") alice_restored = 0;
             if (shadow.spilled.count(key->hash()) == 0) {
               shadow.resident.insert(key->hash());
             }
@@ -291,15 +297,11 @@ void RunTenantOps(int shards, bool spilling, int64_t global_budget,
           ASSERT_EQ(owner[e.key_hash], "alice")
               << "eviction of a key outside the budgeted tenant";
         }
-        if (e.kind == CacheEventKind::kRestore && owner[e.key_hash] == "alice") {
-          alice_restored += size_of.at(e.key_hash);
-        }
       }
       shadow.Apply(snap);
       if (cleared) {
         shadow.resident.clear();
         shadow.spilled.clear();
-        alice_restored = 0;
       }
       if (::testing::Test::HasFatalFailure()) return;
 
@@ -311,7 +313,7 @@ void RunTenantOps(int shards, bool spilling, int64_t global_budget,
         ASSERT_EQ(t.probes, my_probes[t.tenant]);
         if (t.tenant == "alice") {
           ASSERT_EQ(t.budget_bytes, kTenantBudget);
-          ASSERT_LE(t.resident_bytes, kTenantBudget + alice_restored);
+          ASSERT_LE(t.resident_bytes, kTenantBudget);
         }
       }
       ASSERT_EQ(tenant_bytes, cache.SizeInBytes());

@@ -211,6 +211,180 @@ TEST(LineageCacheTest, GhostRefsSurviveEviction) {
   EXPECT_TRUE(cache.Contains(hot));
 }
 
+// Admission: a 1000 B budget puts the low-water mark at 800 B, and a costly
+// 100-row filler (800 B) fills the cache up to it. A 1-row value costs
+// cost::MaterializeNanos(8) = 602.4 ns to keep; compute times here are 0 or
+// at least 1 ms, far from that threshold.
+
+int64_t TotalRefusals(const LineageCache& cache) {
+  int64_t refusals = 0;
+  for (const CacheShardStats& s : cache.ShardStatsSnapshot()) {
+    refusals += s.refusals;
+  }
+  return refusals;
+}
+
+TEST(LineageCacheTest, CheapPutBelowLowWaterMarkIsAdmitted) {
+  RuntimeStats stats;
+  LineageCache cache(CacheConfig(1000), &stats);
+  cache.Put(Key("filler"), Value(99, 1.0), /*compute_seconds=*/100.0);
+  // 792 + 8 = 800 B: up to the low-water mark, not past it.
+  cache.Put(Key("cheap"), Value(1, 2.0), /*compute_seconds=*/0.0);
+  EXPECT_TRUE(cache.Contains(Key("cheap")));
+  EXPECT_EQ(stats.cache_refusals.load(), 0);
+  EXPECT_EQ(TotalRefusals(cache), 0);
+}
+
+TEST(LineageCacheTest, CheapFirstSightingAboveLowWaterMarkIsRefused) {
+  RuntimeStats stats;
+  CacheEventLog events;
+  LineageCache cache(CacheConfig(1000), &stats);
+  cache.set_event_log(&events);
+  cache.Put(Key("filler"), Value(100, 1.0), /*compute_seconds=*/100.0);
+  LineageItemPtr key = Key("cheap");
+  ASSERT_EQ(cache.Probe(key, /*claim=*/true).kind,
+            ReuseCache::ProbeKind::kClaimed);
+  cache.Put(key, Value(1, 2.0), /*compute_seconds=*/0.0);
+
+  EXPECT_FALSE(cache.Contains(key));
+  EXPECT_EQ(cache.NumEntries(), 1);
+  EXPECT_EQ(cache.SizeInBytes(), 800);
+  EXPECT_EQ(events.TakeSnapshot().of(CacheEventKind::kRefuse).count, 1);
+  EXPECT_EQ(TotalRefusals(cache), 1);
+  EXPECT_EQ(stats.cache_refusals.load(), 1);
+
+  // The placeholder is gone: the next claim succeeds without waiting, and
+  // the key's second put is admitted with the refused put's reference.
+  ASSERT_EQ(cache.Probe(key, /*claim=*/true).kind,
+            ReuseCache::ProbeKind::kClaimed);
+  EXPECT_EQ(stats.placeholder_waits.load(), 0);
+  cache.Put(key, Value(1, 2.0), /*compute_seconds=*/0.0);
+  EXPECT_TRUE(cache.Contains(key));
+  EXPECT_EQ(stats.cache_refusals.load(), 1);
+  EXPECT_EQ(stats.evictions.load(), 0);
+  int64_t refs = 0;
+  for (const LineageCache::SnapshotEntry& entry :
+       cache.ExportSnapshot().entries) {
+    if (LineageEquals(entry.key, key)) refs = entry.refs;
+  }
+  EXPECT_EQ(refs, 2);
+}
+
+TEST(LineageCacheTest, CostlyPutAboveLowWaterMarkIsAdmittedAndEvicts) {
+  RuntimeStats stats;
+  LineageCache cache(CacheConfig(1000), &stats);
+  cache.Put(Key("filler"), Value(100, 1.0), /*compute_seconds=*/0.001);
+  cache.Put(Key("costly"), Value(100, 2.0), /*compute_seconds=*/1.0);
+  EXPECT_TRUE(cache.Contains(Key("costly")));
+  EXPECT_FALSE(cache.Contains(Key("filler")));  // lower Cost&Size score
+  EXPECT_EQ(stats.evictions.load(), 1);
+  EXPECT_EQ(stats.cache_refusals.load(), 0);
+}
+
+TEST(LineageCacheTest, CheapFirstSightingOverTenantBudgetIsRefused) {
+  RuntimeStats stats;
+  LineageCache cache(CacheConfig(1 << 20), &stats);
+  cache.SetTenantBudget("alice", 100);
+  {
+    LineageCache::TenantScope scope(&cache, "alice");
+    cache.Put(Key("a1"), Value(10, 1.0), /*compute_seconds=*/1.0);  // 80 B
+    cache.Put(Key("a2"), Value(4, 1.0), /*compute_seconds=*/0.0);   // 112 B
+  }
+  {
+    // bob has no budget and the cache is far below its low-water mark.
+    LineageCache::TenantScope scope(&cache, "bob");
+    cache.Put(Key("b1"), Value(4, 1.0), /*compute_seconds=*/0.0);
+  }
+  EXPECT_TRUE(cache.Contains(Key("a1")));
+  EXPECT_FALSE(cache.Contains(Key("a2")));
+  EXPECT_TRUE(cache.Contains(Key("b1")));
+  EXPECT_EQ(stats.cache_refusals.load(), 1);
+  std::vector<CacheTenantStats> tenants = cache.TenantStatsSnapshot();
+  ASSERT_EQ(tenants.size(), 2u);
+  EXPECT_EQ(tenants[0].puts, 1);  // a refused put is not a tenant put
+  EXPECT_EQ(tenants[0].resident_bytes, 80);
+  EXPECT_EQ(tenants[0].evictions, 0);
+}
+
+TEST(LineageCacheTest, GhostHistoryAgesPastTheCap) {
+  // One shard, held at its low-water mark: every cheap put of a new key is
+  // refused and leaves a ghost with one reference. Once the history holds
+  // more than kMaxGhostsPerShard keys, the next ghost halves every count:
+  // the one-off keys go, and a key seen four times keeps two references.
+  LimaConfig config = CacheConfig(1000);
+  config.cache_shards = 1;
+  RuntimeStats stats;
+  LineageCache cache(config, &stats);
+  LineageItemPtr hot = Key("hot");
+  cache.ImportSnapshot({}, {{hot->hash(), 4}}, {});
+  cache.Put(Key("filler"), Value(100, 1.0), /*compute_seconds=*/100.0);
+  DataPtr tiny = Value(1, 0.0);
+  const int64_t flood =
+      static_cast<int64_t>(LineageCache::kMaxGhostsPerShard) + 1;
+  for (int64_t i = 0; i < flood; ++i) {
+    cache.Put(Key("g" + std::to_string(i)), tiny, /*compute_seconds=*/0.0);
+  }
+  ASSERT_EQ(stats.cache_refusals.load(), flood);
+  std::vector<std::pair<uint64_t, int64_t>> ghosts =
+      cache.ExportSnapshot().ghost_refs;
+  // The hot key, and the ghost recorded after the aging pass.
+  ASSERT_EQ(ghosts.size(), 2u);
+  int64_t hot_refs = 0;
+  for (const auto& [hash, refs] : ghosts) {
+    if (hash == hot->hash()) hot_refs = refs;
+  }
+  EXPECT_EQ(hot_refs, 2);
+}
+
+TEST(LineageCacheTest, RestoreRunsOwningTenantPass) {
+  // alice's spilled entry is restored by bob's probe: the restore charges
+  // alice, and her pass evicts her other entry, not the restored one.
+  const fs::path dir = MakeSpillDir("tenant_restore");
+  LimaConfig config = CacheConfig(2100, EvictionPolicy::kLru);
+  config.enable_spilling = true;
+  config.spill_dir = dir.string();
+  RuntimeStats stats;
+  {
+    LineageCache cache(config, &stats);
+    cache.SetTenantBudget("alice", 1000);
+    LineageItemPtr a = Key("a");
+    LineageItemPtr d = Key("d");
+    {
+      LineageCache::TenantScope scope(&cache, "alice");
+      cache.Put(a, Value(100, 42.0), /*compute_seconds=*/100.0);
+    }
+    {
+      LineageCache::TenantScope scope(&cache, "bob");
+      cache.Put(Key("b"), Value(100, 2.0), 100.0);
+      cache.Put(Key("c"), Value(100, 3.0), 100.0);  // spills a
+    }
+    {
+      LineageCache::TenantScope scope(&cache, "alice");
+      cache.Put(d, Value(100, 4.0), 100.0);  // spills b
+    }
+    ASSERT_EQ(stats.spills.load(), 2);
+    {
+      LineageCache::TenantScope scope(&cache, "bob");
+      ReuseCache::ProbeResult hit = cache.Probe(a, /*claim=*/false);
+      ASSERT_EQ(hit.kind, ReuseCache::ProbeKind::kHit);
+      const MatrixPtr& m =
+          static_cast<const MatrixData*>(hit.value.get())->matrix();
+      EXPECT_DOUBLE_EQ(m->At(50, 0), 42.0);
+    }
+    std::vector<CacheTenantStats> tenants = cache.TenantStatsSnapshot();
+    ASSERT_EQ(tenants[0].tenant, "alice");
+    EXPECT_LE(tenants[0].resident_bytes, 1000);
+    EXPECT_EQ(tenants[0].evictions, 2);  // a by the global pass, then d
+    EXPECT_LE(cache.SizeInBytes(), 2100);
+    // The restored value stayed resident: probing it again restores nothing.
+    const int64_t restores = stats.restores.load();
+    EXPECT_EQ(cache.Probe(a, /*claim=*/false).kind,
+              ReuseCache::ProbeKind::kHit);
+    EXPECT_EQ(stats.restores.load(), restores);
+  }
+  fs::remove_all(dir);
+}
+
 TEST(LineageCacheTest, SpillAndRestore) {
   RuntimeStats stats;
   LimaConfig config = CacheConfig(2100, EvictionPolicy::kLru);

@@ -12,6 +12,7 @@
 
 #include "lang/compiler.h"
 #include "lang/session.h"
+#include "reuse/lineage_cache.h"
 #include "runtime/analysis.h"
 #include "runtime/instructions_misc.h"
 
@@ -321,6 +322,32 @@ TEST(CompilerTest, TsmmCbindProducesIdenticalResults) {
   LimaSession assisted(config);
   ASSERT_TRUE(assisted.Run(script).ok());
   EXPECT_NEAR(*base.GetDouble("r"), *assisted.GetDouble("r"), 1e-8);
+}
+
+TEST(CompilerTest, TsmmCbindCachesTsmmBlockWithItsComputeTime) {
+  // The t(A)A block tsmm_cbind puts into the cache carries the time it took:
+  // with 0 its Cost&Size score is 0 and admission refuses it under pressure.
+  LimaConfig config = LimaConfig::Lima();
+  config.compiler_assist = true;
+  LimaSession session(config);
+  ASSERT_TRUE(session.Run(R"(
+    X = rand(rows=60, cols=8, seed=3);
+    y = rand(rows=60, cols=1, seed=4);
+    Z = cbind(X, y);
+    S = t(Z) %*% Z;
+    r = sum(S);
+  )").ok());
+  int blocks = 0;
+  for (const LineageCache::SnapshotEntry& entry :
+       session.cache()->ExportSnapshot().entries) {
+    if (entry.key->opcode() != "tsmm" ||
+        entry.key->inputs()[0]->opcode() == "cbind") {
+      continue;
+    }
+    ++blocks;
+    EXPECT_GT(entry.compute_seconds, 0.0);
+  }
+  EXPECT_EQ(blocks, 1);
 }
 
 TEST(CompilerTest, NestedFunctionDefinitionRejected) {

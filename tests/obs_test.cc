@@ -337,7 +337,7 @@ TEST(ObsTest, RuntimeStatsExportIsComplete) {
   EXPECT_NE(text.find("spill_nanos=5"), std::string::npos) << text;
   EXPECT_NE(text.find("compute_saved_nanos=6"), std::string::npos) << text;
   // ToPairs() snapshots every counter declared in RuntimeStats.
-  EXPECT_EQ(stats.ToPairs().size(), 25u);
+  EXPECT_EQ(stats.ToPairs().size(), 26u);
 }
 
 }  // namespace
