@@ -16,14 +16,17 @@
 //   LIMA_GOLDEN_WRITE=1 ./reconstruct_roundtrip_test
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/opcode_registry.h"
@@ -342,6 +345,135 @@ TEST(ReconstructRoundtripTest, NonReusableKernelsMatchGolden) {
     }
     ExpectKernelGolden(c.key,
                        ValueText(*session.context()->symbols().Get(c.var)));
+  }
+}
+
+/// A rows x cols input whose cells cycle through ordinary values, zeros and
+/// the IEEE specials NaN, +inf, -inf and -0.0.
+Matrix SpecialCells(int64_t rows, int64_t cols, uint64_t salt) {
+  Matrix m(rows, cols);
+  for (int64_t k = 0; k < m.size(); ++k) {
+    const uint64_t h =
+        (static_cast<uint64_t>(k) + salt) * 0x9E3779B97F4A7C15ull;
+    double v = static_cast<double>(h >> 53) / 128.0 - 8.0;
+    switch (h % 61) {
+      case 0:
+        v = std::numeric_limits<double>::quiet_NaN();
+        break;
+      case 1:
+        v = std::numeric_limits<double>::infinity();
+        break;
+      case 2:
+        v = -std::numeric_limits<double>::infinity();
+        break;
+      case 3:
+        v = -0.0;
+        break;
+      default:
+        break;
+    }
+    m.mutable_data()[k] = v;
+  }
+  return m;
+}
+
+/// True when two values have the same kind, shape and bits.
+bool SameBits(const DataPtr& a, const DataPtr& b) {
+  if (a->type() != DataType::kMatrix || b->type() != DataType::kMatrix) {
+    return a->type() == b->type() && AsScalar(a)->EncodeLineageLiteral() ==
+                                         AsScalar(b)->EncodeLineageLiteral();
+  }
+  MatrixPtr ma = *AsMatrix(a);
+  MatrixPtr mb = *AsMatrix(b);
+  return ma->rows() == mb->rows() && ma->cols() == mb->cols() &&
+         std::memcmp(ma->data(), mb->data(),
+                     static_cast<size_t>(ma->size()) * sizeof(double)) == 0;
+}
+
+/// ValueText with every NaN cell written as one NaN. Which of two NaNs a
+/// sum keeps follows the compiler's operand order and differs between -O2
+/// and -O3 builds of one source, so these digests pin every other bit.
+std::string ValueTextAnyNan(const DataPtr& value) {
+  if (value->type() != DataType::kMatrix) {
+    const ScalarValue s = *AsScalar(value);
+    return s.is_numeric() && std::isnan(s.AsDouble()) ? "S Dnan"
+                                                      : ValueText(value);
+  }
+  Matrix m = **AsMatrix(value);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    if (std::isnan(m.data()[i])) {
+      m.mutable_data()[i] = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  return ValueText(MakeMatrixData(std::move(m)));
+}
+
+// The 6 x 5 cases above never split a kernel into chunks. These run every
+// cell-wise operator (including broadcasting) and every reduction on
+// 500 x 400 cells, which the kernels split into several chunks, with
+// IEEE specials in the input. The cell-wise results overwrite an operand,
+// which then dies at the operator, so with in-place execution on the
+// equal-shape forms write into its stolen buffer. Each value is computed
+// with in-place execution off and on; both must give the same bytes and
+// the golden digest.
+TEST(ReconstructRoundtripTest, ChunkedKernelsMatchGolden) {
+  const std::vector<std::string> binary = {
+      "+", "-", "*", "/", "^", "min", "max", "==", "!=",
+      "<", ">", "<=", ">=", "&", "|", "%%", "%/%"};
+  const std::vector<std::string> unary = {
+      "exp", "log", "sqrt", "abs", "round", "floor", "ceil", "sign", "sigmoid"};
+  const std::vector<std::string> reductions = {
+      "sum",      "mean",     "min",      "max",     "trace",
+      "colSums",  "colMeans", "colMins",  "colMaxs", "colVars",
+      "rowSums",  "rowMeans", "rowMins",  "rowMaxs", "rowIndexMax"};
+  // key -> statement over X, Y (500 x 400), R (1 x 400) and C (500 x 1)
+  // that leaves its result in X.
+  std::vector<std::pair<std::string, std::string>> cases;
+  for (const std::string& op : binary) {
+    auto apply = [&op](const std::string& l, const std::string& r) {
+      if (op == "min" || op == "max") return op + "(" + l + ", " + r + ")";
+      return l + " " + op + " " + r;
+    };
+    const std::string key = "chunked." + op + ".";
+    cases.push_back({key + "mm", apply("X", "Y")});
+    cases.push_back({key + "ms", apply("X", "0.75")});
+    cases.push_back({key + "sm", apply("0.75", "X")});
+    cases.push_back({key + "xx", apply("X", "X")});
+    cases.push_back({key + "row", apply("X", "R")});
+    cases.push_back({key + "col", apply("C", "X")});
+    cases.push_back({key + "outer", apply("C", "R")});
+  }
+  for (const std::string& op : unary) {
+    cases.push_back({"chunked." + op, op + "(X)"});
+  }
+  cases.push_back({"chunked.uminus", "-X"});
+  cases.push_back({"chunked.!", "!X"});
+  for (const std::string& op : reductions) {
+    cases.push_back({"chunked." + op, op + "(X)"});
+  }
+
+  const Matrix x = SpecialCells(500, 400, 1);
+  const Matrix y = SpecialCells(500, 400, 2);
+  const Matrix r = SpecialCells(1, 400, 3);
+  const Matrix c = SpecialCells(500, 1, 4);
+  for (const auto& [key, expr] : cases) {
+    SCOPED_TRACE(key + ": X = " + expr);
+    DataPtr value[2];
+    for (bool inplace : {false, true}) {
+      LimaConfig config = LimaConfig::Base();
+      config.inplace_rewrites = inplace;
+      LimaSession session(config);
+      session.BindMatrix("X", x);
+      session.BindMatrix("Y", y);
+      session.BindMatrix("R", r);
+      session.BindMatrix("C", c);
+      Status status = session.Run("X = " + expr + ";");
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      value[inplace] = *session.context()->symbols().Get("X");
+    }
+    EXPECT_TRUE(SameBits(value[0], value[1]))
+        << "in-place execution changed the bytes";
+    ExpectKernelGolden(key, ValueTextAnyNan(value[0]));
   }
 }
 
