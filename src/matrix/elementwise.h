@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/result.h"
@@ -63,11 +64,17 @@ double ApplyBinary(BinaryOp op, double a, double b);
 /// Applies `op` to a scalar.
 double ApplyUnary(UnaryOp op, double v);
 
-/// Cell-wise A op B with R-style broadcasting: each dimension of A and B
-/// must match or be 1 (row/column vectors broadcast). Returns
-/// InvalidArgument on incompatible shapes. Large outputs run as
-/// cost-model-sized cell chunks under `par`'s budget lease; every cell is
-/// computed independently, so results are byte-identical at any budget.
+/// Shape of cell-wise A op B under R-style broadcasting: each dimension of
+/// A and B must match or be 1 (row/column vectors broadcast). Returns
+/// InvalidArgument on incompatible shapes.
+Result<std::pair<int64_t, int64_t>> EwiseBinaryShape(BinaryOp op,
+                                                     const Matrix& a,
+                                                     const Matrix& b);
+
+/// Cell-wise A op B with R-style broadcasting into a fresh matrix (see
+/// EwiseBinaryShape). Large outputs run as cost-model-sized cell chunks
+/// under `par`'s budget lease; every cell is computed independently, so
+/// results are byte-identical at any budget.
 Result<Matrix> EwiseBinary(BinaryOp op, const Matrix& a, const Matrix& b,
                            const ParallelContext* par = nullptr);
 
@@ -81,25 +88,18 @@ Matrix EwiseBinaryScalar(BinaryOp op, const Matrix& m, double scalar,
 Matrix EwiseUnary(UnaryOp op, const Matrix& m,
                   const ParallelContext* par = nullptr);
 
-/// In-place variants: overwrite `target`'s buffer with the result instead
-/// of allocating an output. Used by the runtime when compile-time liveness
-/// marked the operand dead and the refcount proved the buffer unaliased.
-///
-/// Precondition: `target` and `other` have identical shapes (no
-/// broadcasting). `other` may alias `target` (X + X): each cell is read
-/// before its slot is written.
-void EwiseBinaryInPlace(BinaryOp op, Matrix* target, const Matrix& other,
-                        bool target_is_left,
-                        const ParallelContext* par = nullptr);
-
-/// target[i,j] = s op target[i,j] (scalar_is_left) or target[i,j] op s.
-void EwiseBinaryScalarInPlace(BinaryOp op, Matrix* target, double scalar,
-                              bool scalar_is_left,
-                              const ParallelContext* par = nullptr);
-
-/// target[i,j] = op(target[i,j]).
-void EwiseUnaryInPlace(UnaryOp op, Matrix* target,
-                       const ParallelContext* par = nullptr);
+/// The same kernels writing into `*out`, which must already have the
+/// result's shape. `out` may be an operand itself, or both (X + X): each
+/// cell's operands are read before its slot is written. The runtime passes
+/// an operand's buffer here when liveness and the refcount prove it dead
+/// and unaliased.
+void EwiseBinaryInto(BinaryOp op, const Matrix& a, const Matrix& b,
+                     Matrix* out, const ParallelContext* par = nullptr);
+void EwiseBinaryScalarInto(BinaryOp op, const Matrix& m, double scalar,
+                           bool scalar_is_left, Matrix* out,
+                           const ParallelContext* par = nullptr);
+void EwiseUnaryInto(UnaryOp op, const Matrix& m, Matrix* out,
+                    const ParallelContext* par = nullptr);
 
 }  // namespace lima
 

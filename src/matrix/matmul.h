@@ -29,6 +29,11 @@ Matrix Tsmm(const Matrix& x, bool left = true,
 Result<Matrix> TransposeMatMul(const Matrix& a, const Matrix& b,
                                const ParallelContext* par = nullptr);
 
+/// Assembles tsmm(cbind(A, B)) = [[t(A)A, t(A)B], [t(B)A, t(B)B]] from
+/// `taa` = t(A)A, `tab` = t(A)B and `tbb` = t(B)B (t(B)A is t(tab)).
+Matrix AssembleTsmmBlocks(const Matrix& taa, const Matrix& tab,
+                          const Matrix& tbb);
+
 }  // namespace lima
 
 #endif  // LIMA_MATRIX_MATMUL_H_

@@ -183,19 +183,7 @@ DataPtr RewriteTsmm(LineageCache* cache, const LineageItemPtr& key,
     double seconds = watch.ElapsedSeconds();
     PutMatrix(cache, LineageItem::Create(Op().tsmm, {b_item}), tbb, seconds);
 
-    int64_t c2 = tbb.cols();
-    Matrix out(c1 + c2, c1 + c2);
-    for (int64_t i = 0; i < c1; ++i) {
-      for (int64_t j = 0; j < c1; ++j) out.At(i, j) = taa->At(i, j);
-      for (int64_t j = 0; j < c2; ++j) {
-        out.At(i, c1 + j) = tab->At(i, j);
-        out.At(c1 + j, i) = tab->At(i, j);
-      }
-    }
-    for (int64_t i = 0; i < c2; ++i) {
-      for (int64_t j = 0; j < c2; ++j) out.At(c1 + i, c1 + j) = tbb.At(i, j);
-    }
-    return MakeMatrixData(std::move(out));
+    return MakeMatrixData(AssembleTsmmBlocks(*taa, *tab, tbb));
   }
 
   if (composed->opcode_id() == Op().rbind) {
