@@ -7,7 +7,7 @@
 // Daemon:
 //   lima_serve --socket=/tmp/lima.sock [--pool=N] [--queue=N]
 //              [--budget-mb=N] [--tenant-budget-mb=TENANT:N]...
-//              [--private-caches] [--config=FILE]
+//              [--config=FILE]
 //              [--store-dir=DIR] [--snapshot-every=N]
 //
 //   --store-dir enables the persistent lineage store (docs/PERSISTENCE.md):
@@ -44,7 +44,7 @@ void PrintUsage() {
       stderr,
       "usage: lima_serve --socket=PATH [--pool=N] [--queue=N]\n"
       "                  [--budget-mb=N] [--tenant-budget-mb=TENANT:N]...\n"
-      "                  [--private-caches] [--config=FILE]\n"
+      "                  [--config=FILE]\n"
       "                  [--store-dir=DIR] [--snapshot-every=N]\n"
       "       lima_serve --socket=PATH --call [--tenant=NAME] [--op=OP]\n"
       "                  [--query=Q] [--persist] [<script.dml | ->]\n");
@@ -178,8 +178,6 @@ int main(int argc, char** argv) {
       }
       options.tenant_budgets.emplace_back(value.substr(0, colon),
                                           int64_t{1024} * 1024 * *budget_mb);
-    } else if (arg == "--private-caches") {
-      options.shared_cache = false;
     } else if (ParseFlag(arg, "config", &value)) {
       config_path = value;
     } else if (ParseFlag(arg, "store-dir", &value)) {
@@ -256,10 +254,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr,
-               "lima_serve: listening on %s (pool=%d queue=%d %s)\n",
+               "lima_serve: listening on %s (pool=%d queue=%d shared cache)\n",
                options.socket_path.c_str(), options.pool_size,
-               options.queue_capacity,
-               options.shared_cache ? "shared cache" : "private caches");
+               options.queue_capacity);
   if (!options.store_dir.empty()) {
     std::fprintf(stderr, "lima_serve: %s\n",
                  server.warm_start_report().Summary().c_str());
