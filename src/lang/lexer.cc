@@ -1,6 +1,7 @@
 #include "lang/lexer.h"
 
 #include <cctype>
+#include <cstdlib>
 #include <unordered_set>
 
 namespace lima {
@@ -105,7 +106,9 @@ Result<std::vector<Token>> Tokenize(const std::string& source) {
       }
       token.kind = TokenKind::kNumber;
       token.text = source.substr(start, i - start);
-      token.number = std::stod(token.text);
+      // strtod never throws: out of range, 1e400 reads as Inf and 1e-400
+      // as 0, the values Java's Double.parseDouble and R give.
+      token.number = std::strtod(token.text.c_str(), nullptr);
       token.is_int = is_int;
       tokens.push_back(std::move(token));
       continue;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "lang/lexer.h"
 #include "lang/parser.h"
 
@@ -25,6 +28,15 @@ TEST(LexerTest, ScientificNotation) {
   // "2e" is number 2 followed by identifier e.
   EXPECT_DOUBLE_EQ(tokens[10].number, 2);
   EXPECT_EQ(tokens[11].text, "e");
+}
+
+TEST(LexerTest, OutOfRangeLiteralsReadAsInfAndZero) {
+  // As Java's Double.parseDouble and R read them, not an exception.
+  Result<std::vector<Token>> tokens = Tokenize("x = 1e400; y = 1e-400;");
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  EXPECT_EQ((*tokens)[2].number, std::numeric_limits<double>::infinity());
+  EXPECT_EQ((*tokens)[6].number, 0.0);
+  EXPECT_TRUE(ParseScript("x = 1e400; y = -1e-400;").ok());
 }
 
 TEST(LexerTest, StringsWithEscapes) {

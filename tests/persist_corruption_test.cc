@@ -437,6 +437,38 @@ TEST(SnapshotCorruptionTest, DamagedValueFileIsSkippedAndSwept) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SnapshotCorruptionTest, MalformedScalarLiteralIsSkipped) {
+  // Valid checksums, but two scalar value literals that do not parse: those
+  // entries are skipped and counted, and the warm start completes.
+  const std::string dir = TempDir("badscalar");
+  LineageStoreWriter writer;
+  writer.AppendMeta({{"kind", "cache_snapshot"}});
+  int64_t key = 0;
+  for (const char* literal :
+       {"D1.5", "Dnot-a-number", "I99999999999999999999"}) {
+    PersistedCacheEntry entry;
+    entry.lineage_record = writer.AppendLineage(
+        "cache", LineageItem::Create(
+                     "+", {LineageItem::CreateLiteral("I" + std::to_string(
+                                                          key++)),
+                           LineageItem::CreateLiteral("I1")}));
+    entry.value_kind = PersistedCacheEntry::kValueScalar;
+    entry.value_ref = literal;
+    entry.size_bytes = 8;
+    writer.AppendCacheEntry(entry);
+  }
+  ASSERT_TRUE(writer.Seal(dir + "/snapshot_000001.lls").ok());
+  WriteAll(dir + "/CURRENT", "snapshot_000001.lls\n");
+
+  std::shared_ptr<LineageCache> cache =
+      LimaSession::MakeSharedCache(LimaConfig::Lima());
+  WarmStartReport report = LoadCacheSnapshot(cache.get(), dir);
+  EXPECT_TRUE(report.warm) << report.diagnostic;
+  EXPECT_EQ(report.entries, 1);
+  EXPECT_EQ(report.skipped, 2);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SnapshotCorruptionTest, StartupSweepReapsStaleStoreFiles) {
   const std::string dir = TempDir("sweep");
   // A crashed writer's temp file, a dead process's spill file, and an

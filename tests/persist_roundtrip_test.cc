@@ -18,6 +18,7 @@
 #include "lang/session.h"
 #include "lineage/serialize.h"
 #include "persist/lineage_store.h"
+#include "persist/query.h"
 #include "persist/snapshot.h"
 #include "reuse/lineage_cache.h"
 #include "runtime/reconstruct.h"
@@ -239,6 +240,25 @@ TEST(PersistRoundtripExtrasTest, MultiRecordSegmentAndSubtreeDecode) {
   EXPECT_EQ((*reader)->FindRecordContaining((*reader)->record(0).root_id), 0);
   EXPECT_EQ((*reader)->FindRecordContaining(-1), -1);
   std::filesystem::remove_all(dir);
+}
+
+TEST(PersistRoundtripExtrasTest, ReplayOfMalformedLiteralIsAnError) {
+  // A segment with valid checksums whose literals do not parse as numbers:
+  // replaying them is an error, not an exception.
+  for (const char* literal : {"Dnot-a-number", "I99999999999999999999"}) {
+    SCOPED_TRACE(literal);
+    const std::string dir = TempDir("badlit");
+    LineageItemPtr root = LineageItem::Create(
+        "*", {LineageItem::CreateLiteral("D2"),
+              LineageItem::CreateLiteral(literal)});
+    LineageStoreWriter writer;
+    writer.AppendLineage("r", root);
+    ASSERT_TRUE(writer.Seal(dir + "/" + SegmentFileName(1)).ok());
+    Result<std::string> answer =
+        RunLineageQuery(dir, "replay:" + std::to_string(root->id()));
+    EXPECT_FALSE(answer.ok());
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(PersistRoundtripExtrasTest, BoundInputsPersistAsReadLeaves) {
