@@ -81,24 +81,31 @@ inline Dim JoinDim(const Dim& a, const Dim& b) {
 }
 
 /// `a + b` where both are interpreted as integer quantities. Defined when at
-/// most one side is symbolic (sym + sym has no affine representation here).
+/// most one side is symbolic (sym + sym has no affine representation here)
+/// and the sum fits in int64 (an overflowing sum is unknown, never wrapped).
 inline Dim AddDims(const Dim& a, const Dim& b) {
-  if (!a.known() || !b.known()) return Dim::Unknown();
-  if (a.is_const() && b.is_const()) return Dim::Const(a.value + b.value);
-  if (a.is_sym() && b.is_const()) return Dim::Sym(a.sym, a.value + b.value);
-  if (a.is_const() && b.is_sym()) return Dim::Sym(b.sym, b.value + a.value);
+  int64_t sum = 0;
+  if (!a.known() || !b.known() ||
+      __builtin_add_overflow(a.value, b.value, &sum)) {
+    return Dim::Unknown();
+  }
+  if (a.is_const() && b.is_const()) return Dim::Const(sum);
+  if (a.is_sym() && b.is_const()) return Dim::Sym(a.sym, sum);
+  if (a.is_const() && b.is_sym()) return Dim::Sym(b.sym, sum);
   return Dim::Unknown();
 }
 
 /// `a - b`. Two dims over the *same* symbol collapse to a constant — this is
 /// what proves `X[2:nrow(X), ]` has `nrow(X) - 1` rows symbolically.
 inline Dim SubDims(const Dim& a, const Dim& b) {
-  if (!a.known() || !b.known()) return Dim::Unknown();
-  if (a.is_const() && b.is_const()) return Dim::Const(a.value - b.value);
-  if (a.is_sym() && b.is_const()) return Dim::Sym(a.sym, a.value - b.value);
-  if (a.is_sym() && b.is_sym() && a.sym == b.sym) {
-    return Dim::Const(a.value - b.value);
+  int64_t diff = 0;
+  if (!a.known() || !b.known() ||
+      __builtin_sub_overflow(a.value, b.value, &diff)) {
+    return Dim::Unknown();
   }
+  if (a.is_const() && b.is_const()) return Dim::Const(diff);
+  if (a.is_sym() && b.is_const()) return Dim::Sym(a.sym, diff);
+  if (a.is_sym() && b.is_sym() && a.sym == b.sym) return Dim::Const(diff);
   return Dim::Unknown();
 }
 

@@ -28,6 +28,25 @@ TEST(InterpreterTest, IntegerArithmeticStaysIntegral) {
   EXPECT_DOUBLE_EQ(*session.GetDouble("c"), 1024);
 }
 
+TEST(InterpreterTest, IntegersOutsideInt64AreDoubles) {
+  LimaSession session(LimaConfig::TracingOnly());
+  ASSERT_TRUE(session
+                  .Run("a = 3000000000; b = a * a; c = b + b; d = -c;\n"
+                       "x = 99999999999999999999;\n"
+                       "print(b); print(c); print(x);")
+                  .ok());
+  // a * a fits in int64; b + b and the literal do not.
+  EXPECT_EQ(session.GetScalar("b")->kind(), ScalarKind::kInt);
+  EXPECT_EQ(session.GetScalar("c")->kind(), ScalarKind::kDouble);
+  EXPECT_EQ(session.GetScalar("d")->kind(), ScalarKind::kDouble);
+  EXPECT_EQ(session.GetScalar("x")->kind(), ScalarKind::kDouble);
+  EXPECT_DOUBLE_EQ(*session.GetDouble("c"), 1.8e19);
+  EXPECT_DOUBLE_EQ(*session.GetDouble("x"), 1e20);
+  EXPECT_EQ(session.ConsumeOutput(), "9000000000000000000\n1.8e+19\n1e+20\n");
+  // The literal traces as a double, not as a wrapped "I-9223372036854775808".
+  EXPECT_EQ(session.GetLineageItem("x")->data(), "D1e+20");
+}
+
 TEST(InterpreterTest, BooleanLogic) {
   EXPECT_DOUBLE_EQ(RunFor("x = 0; if (TRUE & !FALSE) { x = 1; }", "x"), 1);
   EXPECT_DOUBLE_EQ(RunFor("x = 0; if (1 > 2 | 3 > 2) { x = 1; }", "x"), 1);
