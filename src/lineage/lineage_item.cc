@@ -51,39 +51,6 @@ DedupPatch::DedupPatch(std::string name, int num_placeholders,
   for (const Node& node : nodes_) node_ids_.push_back(InternOpcode(node.opcode));
 }
 
-uint64_t DedupPatch::ComputeRootHash(
-    int output_index, const std::vector<uint64_t>& input_hashes) const {
-  LIMA_CHECK_EQ(static_cast<int>(input_hashes.size()), num_placeholders_);
-  std::vector<uint64_t> hashes(nodes_.size());
-  std::vector<uint64_t> in;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    in.clear();
-    in.reserve(node.inputs.size());
-    for (int64_t ref : node.inputs) {
-      in.push_back(ref >= 0 ? hashes[ref] : input_hashes[-(ref + 1)]);
-    }
-    hashes[i] = NodeHash(node_ids_[i], node.data, in);
-  }
-  return hashes[output_roots_[output_index]];
-}
-
-int64_t DedupPatch::ComputeRootHeight(
-    int output_index, const std::vector<int64_t>& input_heights) const {
-  LIMA_CHECK_EQ(static_cast<int>(input_heights.size()), num_placeholders_);
-  std::vector<int64_t> heights(nodes_.size());
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    int64_t h = 0;
-    for (int64_t ref : node.inputs) {
-      int64_t ih = ref >= 0 ? heights[ref] : input_heights[-(ref + 1)];
-      h = std::max(h, ih + 1);
-    }
-    heights[i] = h;
-  }
-  return heights[output_roots_[output_index]];
-}
-
 void DedupPatch::ComputeAllRoots(const std::vector<uint64_t>& input_hashes,
                                  const std::vector<int64_t>& input_heights,
                                  std::vector<uint64_t>* root_hashes,
@@ -200,6 +167,7 @@ LineageItemPtr LineageItem::CreateDedup(DedupPatchPtr patch, int output_index,
                                         std::vector<LineageItemPtr> inputs) {
   LIMA_CHECK(patch != nullptr);
   LIMA_CHECK_EQ(static_cast<int>(inputs.size()), patch->num_placeholders());
+  LIMA_CHECK(output_index >= 0 && output_index < patch->num_outputs());
   auto item = std::shared_ptr<LineageItem>(new LineageItem());
   item->id_ = g_item_id_counter.fetch_add(1, std::memory_order_relaxed);
   item->opcode_id_ = DedupId();
@@ -215,8 +183,12 @@ LineageItemPtr LineageItem::CreateDedup(DedupPatchPtr patch, int output_index,
     input_hashes.push_back(in->hash());
     input_heights.push_back(in->height());
   }
-  item->hash_ = patch->ComputeRootHash(output_index, input_hashes);
-  item->height_ = patch->ComputeRootHeight(output_index, input_heights);
+  std::vector<uint64_t> root_hashes;
+  std::vector<int64_t> root_heights;
+  patch->ComputeAllRoots(input_hashes, input_heights, &root_hashes,
+                         &root_heights);
+  item->hash_ = root_hashes[output_index];
+  item->height_ = root_heights[output_index];
   item->patch_ = std::move(patch);
   return item;
 }
@@ -255,7 +227,7 @@ std::vector<LineageItemPtr> LineageItem::CreateDedupAll(
 }
 
 LineageItemPtr LineageItem::Resolved() const {
-  if (!is_dedup()) return shared_from_this();
+  LIMA_CHECK(is_dedup()) << "Resolved() of a non-dedup item";
   return patch_->Expand(dedup_output_index_, inputs_);
 }
 

@@ -45,18 +45,11 @@ class DedupPatch {
   const std::vector<std::string>& output_names() const { return output_names_; }
   int num_outputs() const { return static_cast<int>(output_roots_.size()); }
 
-  /// Evaluates the hash the expanded DAG rooted at output `output_index`
-  /// would have, given the hashes of the actual placeholder inputs. This is
-  /// how dedup items and regular items are forced to hash identically
-  /// without expansion (Sec. 3.2, "Operations on Deduplicated Graphs").
-  uint64_t ComputeRootHash(int output_index,
-                           const std::vector<uint64_t>& input_hashes) const;
-
-  /// Same for the height (leaf distance) of the expanded DAG.
-  int64_t ComputeRootHeight(int output_index,
-                            const std::vector<int64_t>& input_heights) const;
-
-  /// Evaluates hash and height for all outputs in one pass over the patch.
+  /// Evaluates, for every output, the hash and height (leaf distance) the
+  /// expanded DAG would have, given the hashes and heights of the actual
+  /// placeholder inputs, in one pass over the patch. This is how dedup
+  /// items and regular items are forced to hash identically without
+  /// expansion (Sec. 3.2, "Operations on Deduplicated Graphs").
   void ComputeAllRoots(const std::vector<uint64_t>& input_hashes,
                        const std::vector<int64_t>& input_heights,
                        std::vector<uint64_t>* root_hashes,
@@ -87,7 +80,7 @@ using DedupPatchPtr = std::shared_ptr<const DedupPatch>;
 ///  - dedup items (opcode "dedup"): one item standing for a whole patch
 ///    instantiation; hashes/heights are computed through the patch so they
 ///    equal the expanded DAG's.
-class LineageItem : public std::enable_shared_from_this<LineageItem> {
+class LineageItem {
  public:
   static constexpr const char* kLiteralOpcode = "L";
   static constexpr const char* kPlaceholderOpcode = "P";
@@ -154,7 +147,7 @@ class LineageItem : public std::enable_shared_from_this<LineageItem> {
   /// Dedup items compare against regular DAGs by on-demand expansion.
   bool Equals(const LineageItem& other) const;
 
-  /// For dedup items: the expanded DAG; identity otherwise.
+  /// The expanded DAG of a dedup item (dedup items only).
   LineageItemPtr Resolved() const;
 
   /// Number of distinct reachable items (dedup items count as one; pass
