@@ -48,7 +48,8 @@ if [[ "$SANITIZE" == "thread" ]]; then
   # RedundancyTest and FusionTest join for the static planner: probe-verdict
   # stamping and cost-planned fusion must stay invisible to 8-worker parfor
   # runs (results, lineage, and cache behavior are compared across worker
-  # counts inside those suites).
+  # counts inside those suites). InPlaceTest joins because the cell-wise
+  # kernels write a stolen operand buffer from their chunk threads.
   # The persistence battery rides along too: PersistRoundtripTest,
   # PersistRoundtripExtrasTest, PersistCorruptionTest,
   # PersistCorruptionTargetedTest and SnapshotCorruptionTest (the
@@ -59,7 +60,7 @@ if [[ "$SANITIZE" == "thread" ]]; then
   # (Grid/PersistRoundtripTest.*), hence the optional prefix. Under ASan
   # the full suite runs, which is what makes the corruption fuzz an ASan
   # gate: it must fail closed and never read out of bounds.
-  TSAN_TESTS='^([A-Za-z0-9_]+/)?(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ParallelBudgetTest|ServeTest|RedundancyTest|FusionTest|PersistRoundtripTest|PersistRoundtripExtrasTest|PersistCorruptionTest|PersistCorruptionTargetedTest|SnapshotCorruptionTest|WarmStartTest)\.'
+  TSAN_TESTS='^([A-Za-z0-9_]+/)?(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ParallelBudgetTest|ServeTest|RedundancyTest|FusionTest|InPlaceTest|PersistRoundtripTest|PersistRoundtripExtrasTest|PersistCorruptionTest|PersistCorruptionTargetedTest|SnapshotCorruptionTest|WarmStartTest)\.'
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     --tests-regex "$TSAN_TESTS"
 else
@@ -78,6 +79,12 @@ for script in "$ROOT"/scripts/*.dml; do
   grep -q "0 error(s), 0 warning(s)" <<<"$report" \
     || { echo "shape gate failed: $script" >&2; exit 1; }
 done
+
+# Numeric literals outside the double range read as Inf or 0, as Java and R
+# read them; they never abort lima_run (exit 134).
+echo "literal smoke: lima_run x = 1e400"
+echo 'x = 1e400; print(x);' | "$BUILD_DIR/tools/lima_run" - > /dev/null \
+  || { echo "literal smoke: lima_run failed on 1e400" >&2; exit 1; }
 
 # Catalog-coverage gate: every verifier run re-lints the operator catalog
 # itself (registry-unsound) and its factory coverage (replay-uncovered: a
@@ -244,6 +251,22 @@ fi
 "$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call --op=ping \
   2> /dev/null \
   || { echo "serve smoke: no ping after hostile request" >&2; exit 1; }
+# An integer result outside int64 is a double, never a wrapped value (this
+# request aborted a daemon built with UBSan), and 1e400 reads as Inf.
+echo 'a = 3000000000; b = a * a; print(b + b);' \
+  | "$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call - \
+  > "$BUILD_DIR/ci_serve_int64.txt" 2> /dev/null \
+  || { echo "serve smoke: int64 request failed" >&2; exit 1; }
+grep -q "1.8e+19" "$BUILD_DIR/ci_serve_int64.txt" \
+  && ! grep -q -- "-9223372036854775808" "$BUILD_DIR/ci_serve_int64.txt" \
+  || { echo "serve smoke: int64 result wrapped" >&2; exit 1; }
+echo 'print(1e400 + 1);' \
+  | "$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call - \
+  > /dev/null 2> /dev/null \
+  || { echo "serve smoke: 1e400 request failed" >&2; exit 1; }
+"$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call --op=ping \
+  2> /dev/null \
+  || { echo "serve smoke: no ping after numeric requests" >&2; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "serve smoke: daemon exited nonzero" >&2; exit 1; }
 grep -q "bye" "$BUILD_DIR/ci_serve.log" \
