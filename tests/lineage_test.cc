@@ -141,6 +141,32 @@ TEST(SerializeTest, RejectsMalformedLogs) {
   EXPECT_FALSE(DeserializeLineage("garbage line\n").ok());
 }
 
+TEST(SerializeTest, RejectsMalformedNumbers) {
+  // Ids, counts and indices that do not parse, or that point outside their
+  // patch, are ParseErrors, never exceptions or aborts.
+  const char* patch = "PATCH p 1\nN uminus p0\nO 0 out\nENDPATCH\n";
+  const std::string logs[] = {
+      "(99999999999999999999) L \"I1\"\n",
+      "(x1) L \"I1\"\n",
+      "(1) P \"99999999999\"\n",
+      "PATCH p 99999999999\nENDPATCH\n(1) L \"I1\"\n",
+      "PATCH p 1\nN + n5 p0\nO 0 out\nENDPATCH\n(1) L \"I1\"\n",
+      "PATCH p 1\nN uminus p3\nO 0 out\nENDPATCH\n(1) L \"I1\"\n",
+      "PATCH p 1\nN uminus p0\nO 7 out\nENDPATCH\n(1) L \"I1\"\n",
+      std::string(patch) + "(1) L \"I1\"\n(2) dedup (1) \"p|3\"\n",
+      std::string(patch) + "(1) L \"I1\"\n(2) dedup (1) (1) \"p|0\"\n",
+  };
+  for (const std::string& log : logs) {
+    Result<LineageItemPtr> parsed = DeserializeLineage(log);
+    ASSERT_FALSE(parsed.ok()) << log;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << log;
+  }
+  // The well-formed patch itself parses.
+  EXPECT_TRUE(DeserializeLineage(std::string(patch) +
+                                 "(1) L \"I1\"\n(2) dedup (1) \"p|0\"\n")
+                  .ok());
+}
+
 TEST(SerializeTest, RoundTripDedupPatch) {
   // Build a patch: out = (p0 + p1) * 2.
   std::vector<DedupPatch::Node> nodes;
