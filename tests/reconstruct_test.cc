@@ -174,5 +174,19 @@ TEST(ReconstructTest, OrphanLineageRejected) {
   EXPECT_FALSE(ReconstructProgram(root).ok());
 }
 
+TEST(ReconstructTest, OutOfRangeOutputIndexRejected) {
+  // eigen has two outputs; ";o<k>" outside them is a ParseError, not an
+  // out-of-bounds read.
+  LimaSession session(LimaConfig::TracingOnly());
+  ASSERT_TRUE(session.Run("C = rand(rows=4, cols=4, seed=2);").ok());
+  for (const char* data : {";o2", ";o100000", ";o-1", ";ox"}) {
+    LineageItemPtr root =
+        LineageItem::Create("eigen", {session.GetLineageItem("C")}, data);
+    Result<ReconstructedProgram> rec = ReconstructProgram(root);
+    ASSERT_FALSE(rec.ok()) << data;
+    EXPECT_EQ(rec.status().code(), StatusCode::kParseError) << data;
+  }
+}
+
 }  // namespace
 }  // namespace lima
