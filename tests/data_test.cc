@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/rng.h"
 #include "lineage/serialize.h"
 #include "runtime/data.h"
@@ -45,6 +49,26 @@ TEST(ScalarValueTest, LineageLiteralRoundTrip) {
   }
   EXPECT_FALSE(ScalarValue::DecodeLineageLiteral("").ok());
   EXPECT_FALSE(ScalarValue::DecodeLineageLiteral("Z42").ok());
+}
+
+TEST(ScalarValueTest, NonFiniteAndSubnormalLiteralsRoundTrip) {
+  // EncodeLineageLiteral writes these as "inf", "-inf", "nan" and a
+  // 17-digit subnormal; the decoder reads each back to the same bits.
+  using Limits = std::numeric_limits<double>;
+  const double cases[] = {Limits::denorm_min(), -2.2250738585072009e-308,
+                          Limits::infinity(), -Limits::infinity(), -0.0};
+  for (double v : cases) {
+    const std::string encoded = ScalarValue::Double(v).EncodeLineageLiteral();
+    Result<ScalarValue> decoded = ScalarValue::DecodeLineageLiteral(encoded);
+    ASSERT_TRUE(decoded.ok()) << encoded;
+    ASSERT_EQ(decoded->kind(), ScalarKind::kDouble) << encoded;
+    const double back = decoded->AsDouble();
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0) << encoded;
+  }
+  Result<ScalarValue> nan = ScalarValue::DecodeLineageLiteral(
+      ScalarValue::Double(Limits::quiet_NaN()).EncodeLineageLiteral());
+  ASSERT_TRUE(nan.ok());
+  EXPECT_TRUE(std::isnan(nan->AsDouble()));
 }
 
 TEST(ScalarValueTest, TypedEncodingsDoNotAlias) {
