@@ -85,6 +85,13 @@ Result<int64_t> ParseInt64Strict(std::string_view s, int64_t min_value,
   return value;
 }
 
+Result<int64_t> ParseStoredInt64(std::string_view s, int64_t min_value,
+                                 int64_t max_value, std::string_view what) {
+  Result<int64_t> value = ParseInt64Strict(s, min_value, max_value, what);
+  if (!value.ok()) return Status::ParseError(value.status().message());
+  return value;
+}
+
 Result<int> ParseIntStrict(std::string_view s, int min_value, int max_value,
                            std::string_view what) {
   LIMA_ASSIGN_OR_RETURN(int64_t value,

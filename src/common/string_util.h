@@ -33,6 +33,11 @@ std::string FormatDouble(double v);
 Result<int64_t> ParseInt64Strict(std::string_view s, int64_t min_value,
                                  int64_t max_value, std::string_view what);
 
+/// ParseInt64Strict for stored text (lineage logs, lineage literals and
+/// item data): the same checks, failing with a ParseError.
+Result<int64_t> ParseStoredInt64(std::string_view s, int64_t min_value,
+                                 int64_t max_value, std::string_view what);
+
 /// ParseInt64Strict narrowed to int.
 Result<int> ParseIntStrict(std::string_view s, int min_value, int max_value,
                            std::string_view what);

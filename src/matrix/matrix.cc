@@ -36,8 +36,7 @@ Result<int64_t> CheckedCellCount(int64_t rows, int64_t cols, const char* op) {
 }
 
 Result<int64_t> CheckedInt64(double v, const char* op) {
-  // NaN fails both comparisons.
-  if (!(v > -9.2e18 && v < 9.2e18)) {
+  if (!FitsInt64(v)) {
     std::ostringstream msg;
     msg << op << ": " << v << " is outside the integer range";
     return Status::Invalid(msg.str());

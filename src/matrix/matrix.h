@@ -33,8 +33,12 @@ inline int64_t CellCount(int64_t rows, int64_t cols) {
 /// overflow, so hostile dimensions are rejected instead of wrapping.
 Result<int64_t> CheckedCellCount(int64_t rows, int64_t cols, const char* op);
 
+/// True when `v` lies in [-2^63, 2^63), the values an int64 holds (NaN
+/// does not). An integer literal or integer result outside it is a double.
+inline bool FitsInt64(double v) { return v >= -0x1p63 && v < 0x1p63; }
+
 /// `v` rounded to the nearest integer, for user-supplied dimensions and
-/// indices: an error naming `op` when `v` is NaN or outside the int64 range.
+/// indices: an error naming `op` when `v` does not fit (FitsInt64).
 Result<int64_t> CheckedInt64(double v, const char* op);
 
 /// Dense, row-major, double-precision matrix — the LIMA runtime's value type
