@@ -1,6 +1,7 @@
 #ifndef LIMA_COMMON_PARALLEL_H_
 #define LIMA_COMMON_PARALLEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -237,6 +238,24 @@ inline void RunChunks(const ParallelContext* par, int64_t chunks,
     return;
   }
   for (int64_t c = 0; c < chunks; ++c) fn(c);
+}
+
+/// RunChunks over [0, n) cut into `chunks` contiguous ranges of
+/// ceil(n / chunks) items: range_fn(chunk, begin, end), where trailing
+/// ranges may be empty. One chunk (or none) runs range_fn(0, 0, n) inline.
+/// The cut is a pure function of n and chunks.
+template <typename RangeFn>
+void RunChunkRanges(const ParallelContext* par, int64_t n, int64_t chunks,
+                    const RangeFn& range_fn) {
+  if (chunks <= 1) {
+    range_fn(0, 0, n);
+    return;
+  }
+  const int64_t per = (n + chunks - 1) / chunks;
+  RunChunks(par, chunks, [&](int64_t c) {
+    const int64_t begin = std::min(n, c * per);
+    range_fn(c, begin, std::min(n, begin + per));
+  });
 }
 
 }  // namespace lima
