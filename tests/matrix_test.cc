@@ -246,6 +246,17 @@ TEST(MatMulTest, MultithreadedMatchesSingle) {
   EXPECT_EQ(0, std::memcmp(tp.data(), ts.data(), sizeof(double) * tp.size()));
 }
 
+// t(A) %*% B with a zero-width A: the input rows are split into chunks,
+// but the k x n partials have no cells to reduce. The reduce split used to
+// divide by its zero chunk count (SIGFPE).
+TEST(MatMulTest, TransposeMatMulOfZeroWidthOperand) {
+  Result<Matrix> out =
+      TransposeMatMul(Matrix(2000, 0), Matrix(2000, 2000, 1.0));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->rows(), 0);
+  EXPECT_EQ(out->cols(), 2000);
+}
+
 TEST(MatMulTest, TsmmRightIsGramOfRows) {
   Matrix x = RandomMatrix(6, 4, 8);
   Matrix expected = ReferenceMatMul(x, Transpose(x));
