@@ -8,16 +8,26 @@
 // deterministic scripts. ctest executes each gtest case in its own process,
 // which makes the ids reproducible run-to-run.
 //
+// Each scenario's DAG is also sealed into a lineage store segment, whose
+// size and CRC-32 are pinned in lineage_segments.golden: segments written by
+// older builds must still warm-start and answer queries. Writing a segment
+// creates no items, so it consumes no ids.
+//
 // Regenerate (only when the format is changed *deliberately*):
 //   LIMA_GOLDEN_WRITE=1 ./lineage_golden_test
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "lang/session.h"
 #include "lineage/serialize.h"
+#include "persist/format.h"
+#include "persist/lineage_store.h"
 #include "runtime/reconstruct.h"
 
 namespace lima {
@@ -42,7 +52,30 @@ struct Scenario {
   std::string golden_name;
   std::string serialized;
   LineageItemPtr item;  ///< kept alive for the restore check
+  std::string segment;  ///< "<name> size=<bytes> crc32=<hex>"
 };
+
+// Seals `item` as the one lineage record of a segment and describes the
+// file's bytes by size and CRC-32.
+std::string SegmentDigest(const std::string& golden_name,
+                          const LineageItemPtr& item) {
+  const std::string name = golden_name.substr(0, golden_name.find('.'));
+  persist::LineageStoreWriter writer;
+  writer.AppendLineage(name, item);
+  const std::string path = std::filesystem::temp_directory_path().string() +
+                           "/lima_golden_segment_" +
+                           std::to_string(::getpid()) + ".lls";
+  Status sealed = writer.Seal(path);
+  EXPECT_TRUE(sealed.ok()) << sealed.ToString();
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::filesystem::remove(path);
+  const std::string file = bytes.str();
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", persist::Crc32(file));
+  return name + " size=" + std::to_string(file.size()) + " crc32=" + crc;
+}
 
 // Runs `script` single-threaded and records `var`'s serialized lineage.
 // Serialization happens for every scenario *before* any golden file is read
@@ -56,7 +89,8 @@ void RunScenario(const LimaConfig& config, const std::string& script,
   ASSERT_TRUE(status.ok()) << status.ToString();
   LineageItemPtr item = session.GetLineageItem(var);
   ASSERT_NE(item, nullptr) << var;
-  scenarios.push_back({golden_name, SerializeLineage(item), item});
+  scenarios.push_back({golden_name, SerializeLineage(item), item,
+                       SegmentDigest(golden_name, item)});
 }
 
 // Checks the recorded bytes against the golden file (or rewrites it in
@@ -117,6 +151,21 @@ TEST(LineageGoldenTest, FormatIsByteStable) {
     )", "r", "lineage_multioutput.golden", scenarios);
 
   for (const Scenario& scenario : scenarios) CheckGolden(scenario);
+
+  std::string segments;
+  for (const Scenario& scenario : scenarios) {
+    segments += scenario.segment + "\n";
+  }
+  const std::string path = GoldenPath("lineage_segments.golden");
+  if (WriteMode()) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << path;
+    out << segments;
+    return;
+  }
+  EXPECT_EQ(ReadFileOrDie(path), segments)
+      << "lineage segment bytes drifted from " << path
+      << "; stores written by older builds may no longer load";
 }
 
 // The escape rules for data payloads are part of the pinned format.
