@@ -2,8 +2,7 @@
 // three numbers the persistent lineage store promises.
 //
 //  1. Compression: bytes of the dictionary/varint-encoded segment vs the
-//     naive text serialization (SerializeLineage) and the plain binary
-//     encoding (LineageStoreWriter with compress off) for Fig. 9-style
+//     naive text serialization (SerializeLineage) for Fig. 9-style
 //     iterative pipelines. Target: compressed is >= 3x smaller than naive.
 //  2. Write throughput: wall time to encode + seal a segment, reported as
 //     logical MB/s (naive bytes consumed per second) and physical MB/s
@@ -99,7 +98,6 @@ std::vector<std::pair<std::string, LineageItemPtr>> TracedRoots(
 
 struct EncodeResult {
   int64_t naive_bytes = 0;
-  int64_t plain_bytes = 0;
   int64_t compressed_bytes = 0;
   int64_t records = 0;
   int64_t items = 0;
@@ -122,12 +120,6 @@ EncodeResult MeasureEncoding(const Workload& workload, const std::string& dir,
   EncodeResult result;
   for (const auto& [name, root] : roots)
     result.naive_bytes += static_cast<int64_t>(SerializeLineage(root).size());
-
-  {
-    LineageStoreWriter plain(LineageStoreWriter::Options{/*compress=*/false});
-    for (const auto& [name, root] : roots) plain.AppendLineage(name, root);
-    result.plain_bytes = plain.SizeBytes();
-  }
 
   const std::string path = dir + "/" + workload.name + ".lls";
   double best = 1e300;
@@ -255,23 +247,19 @@ int Main(int argc, char** argv) {
     std::printf("%s\n", first ? "" : ",");
     first = false;
     double vs_naive = static_cast<double>(r.naive_bytes) / r.compressed_bytes;
-    double vs_plain = static_cast<double>(r.plain_bytes) / r.compressed_bytes;
     double logical_mb_s =
         r.naive_bytes / 1e6 / std::max(r.encode_seal_seconds, 1e-9);
     double physical_mb_s =
         r.compressed_bytes / 1e6 / std::max(r.encode_seal_seconds, 1e-9);
     std::printf(
         "    {\"name\": \"%s\", \"records\": %lld, \"items\": %lld,\n"
-        "     \"naive_bytes\": %lld, \"plain_bytes\": %lld, "
-        "\"compressed_bytes\": %lld,\n"
-        "     \"compression_vs_naive\": %.2f, \"compression_vs_plain\": "
-        "%.2f,\n"
+        "     \"naive_bytes\": %lld, \"compressed_bytes\": %lld,\n"
+        "     \"compression_vs_naive\": %.2f,\n"
         "     \"encode_seal_ms\": %.3f, \"write_logical_mb_s\": %.1f, "
         "\"write_physical_mb_s\": %.1f}",
         workload.name, static_cast<long long>(r.records),
         static_cast<long long>(r.items), static_cast<long long>(r.naive_bytes),
-        static_cast<long long>(r.plain_bytes),
-        static_cast<long long>(r.compressed_bytes), vs_naive, vs_plain,
+        static_cast<long long>(r.compressed_bytes), vs_naive,
         r.encode_seal_seconds * 1e3, logical_mb_s, physical_mb_s);
     std::fflush(stdout);
   }

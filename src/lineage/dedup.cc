@@ -1,7 +1,5 @@
 #include "lineage/dedup.h"
 
-#include <unordered_map>
-
 #include "common/check.h"
 
 namespace lima {
@@ -9,58 +7,7 @@ namespace lima {
 DedupPatchPtr BuildPatchFromTrace(
     const std::string& name, int num_placeholders,
     const std::vector<std::pair<std::string, LineageItemPtr>>& outputs) {
-  std::vector<DedupPatch::Node> nodes;
-  std::unordered_map<const LineageItem*, int64_t> node_index;
-
-  // Iterative post-order over the traced DAG; placeholders become negative
-  // references, every other distinct item becomes one patch node.
-  struct Frame {
-    const LineageItem* item;
-    size_t next_input;
-  };
-  auto visit = [&](const LineageItem* root) -> int64_t {
-    if (root->is_placeholder()) {
-      return -(static_cast<int64_t>(root->placeholder_index()) + 1);
-    }
-    auto found = node_index.find(root);
-    if (found != node_index.end()) return found->second;
-
-    std::vector<Frame> stack{{root, 0}};
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const LineageItem* item = frame.item;
-      if (frame.next_input < item->inputs().size()) {
-        const LineageItem* input = item->inputs()[frame.next_input++].get();
-        if (!input->is_placeholder() && !node_index.count(input)) {
-          stack.push_back({input, 0});
-        }
-        continue;
-      }
-      // All inputs resolved; emit node if not yet emitted.
-      if (!node_index.count(item)) {
-        DedupPatch::Node node;
-        node.opcode = item->opcode();
-        node.data = item->data();
-        node.inputs.reserve(item->inputs().size());
-        for (const LineageItemPtr& input : item->inputs()) {
-          if (input->is_placeholder()) {
-            node.inputs.push_back(
-                -(static_cast<int64_t>(input->placeholder_index()) + 1));
-          } else {
-            auto it = node_index.find(input.get());
-            LIMA_CHECK(it != node_index.end());
-            node.inputs.push_back(it->second);
-          }
-        }
-        node_index[item] = static_cast<int64_t>(nodes.size());
-        nodes.push_back(std::move(node));
-      }
-      stack.pop_back();
-    }
-    return node_index.at(root);
-  };
-
-  std::vector<int64_t> output_roots;
+  std::vector<const LineageItem*> roots;
   std::vector<std::string> output_names;
   for (const auto& [var, root] : outputs) {
     LIMA_CHECK(root != nullptr) << "missing lineage for loop output " << var;
@@ -69,9 +16,32 @@ DedupPatchPtr BuildPatchFromTrace(
       // binding stays valid, so the patch does not emit it.
       continue;
     }
-    int64_t ref = visit(root.get());
-    output_roots.push_back(ref);
+    roots.push_back(root.get());
     output_names.push_back(var);
+  }
+
+  // Placeholders become negative references, every other distinct item one
+  // patch node, in lineage order.
+  const LineageOrder order = OrderLineage(
+      roots, [](const LineageItem& item) { return item.is_placeholder(); });
+  std::vector<DedupPatch::Node> nodes;
+  nodes.reserve(order.items.size());
+  for (const LineageItem* item : order.items) {
+    DedupPatch::Node node;
+    node.opcode = item->opcode();
+    node.data = item->data();
+    node.inputs.reserve(item->inputs().size());
+    for (const LineageItemPtr& input : item->inputs()) {
+      node.inputs.push_back(
+          input->is_placeholder()
+              ? -(static_cast<int64_t>(input->placeholder_index()) + 1)
+              : order.position.at(input.get()));
+    }
+    nodes.push_back(std::move(node));
+  }
+  std::vector<int64_t> output_roots;
+  for (const LineageItem* root : roots) {
+    output_roots.push_back(order.position.at(root));
   }
 
   return std::make_shared<const DedupPatch>(name, num_placeholders,

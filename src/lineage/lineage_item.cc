@@ -90,11 +90,7 @@ LineageItemPtr DedupPatch::Expand(
     for (int64_t ref : node.inputs) {
       in.push_back(ref >= 0 ? items[ref] : inputs[-(ref + 1)]);
     }
-    if (node_ids_[i] == LineageItem::LiteralId()) {
-      items[i] = LineageItem::CreateLiteral(node.data);
-    } else {
-      items[i] = LineageItem::Create(node_ids_[i], std::move(in), node.data);
-    }
+    items[i] = LineageItem::Create(node_ids_[i], std::move(in), node.data);
   }
   return items[output_roots_[output_index]];
 }
@@ -336,6 +332,38 @@ bool LineageEquals(const LineageItemPtr& a, const LineageItemPtr& b) {
   if (a == b) return true;
   if (a == nullptr || b == nullptr) return false;
   return a->Equals(*b);
+}
+
+LineageOrder OrderLineage(const std::vector<const LineageItem*>& roots,
+                          bool (*skip)(const LineageItem&)) {
+  LineageOrder order;
+  auto pending = [&](const LineageItem* item) {
+    return order.position.count(item) == 0 && (skip == nullptr || !skip(*item));
+  };
+  // A DAG has no cycles, so the stack is one path from a root and an item
+  // not yet listed is never on it twice.
+  struct Frame {
+    const LineageItem* item;
+    size_t next_input;
+  };
+  std::vector<Frame> stack;
+  for (const LineageItem* root : roots) {
+    if (pending(root)) stack.push_back({root, 0});
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      if (frame.next_input < frame.item->inputs().size()) {
+        const LineageItem* input =
+            frame.item->inputs()[frame.next_input++].get();
+        if (pending(input)) stack.push_back({input, 0});
+        continue;
+      }
+      order.position.emplace(frame.item,
+                             static_cast<int64_t>(order.items.size()));
+      order.items.push_back(frame.item);
+      stack.pop_back();
+    }
+  }
+  return order;
 }
 
 }  // namespace lima

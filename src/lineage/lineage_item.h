@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/opcode_registry.h"
@@ -177,6 +178,21 @@ class LineageItem {
 
 /// Convenience equality over pointers (nullptr-safe).
 bool LineageEquals(const LineageItemPtr& a, const LineageItemPtr& b);
+
+/// The items reachable from a list of roots, each listed once.
+struct LineageOrder {
+  std::vector<const LineageItem*> items;
+  std::unordered_map<const LineageItem*, int64_t> position;  ///< into items
+};
+
+/// Lists the items reachable from `roots` in lineage order: depth-first
+/// post-order, inputs left to right, so every input precedes its consumers
+/// and each root's new items follow the previous root's. Items `skip` names
+/// are neither listed nor descended into. Lineage logs, store segments,
+/// dedup patches and replayed programs all keep this order; it is part of
+/// their formats.
+LineageOrder OrderLineage(const std::vector<const LineageItem*>& roots,
+                          bool (*skip)(const LineageItem&) = nullptr);
 
 }  // namespace lima
 

@@ -130,39 +130,19 @@ std::string UnescapeDataString(const std::string& s) {
 std::string SerializeLineage(const LineageItemPtr& root) {
   std::ostringstream patches_out;
   std::ostringstream items_out;
-  std::unordered_set<const LineageItem*> visited;
   std::unordered_set<const DedupPatch*> patches_seen;
-
-  // Iterative post-order: inputs are always serialized before their
-  // consumers; memoization ensures each item appears once.
-  struct Frame {
-    const LineageItem* item;
-    size_t next_input;
-  };
-  std::vector<Frame> stack{{root.get(), 0}};
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const LineageItem* item = frame.item;
-    if (frame.next_input < item->inputs().size()) {
-      const LineageItem* input = item->inputs()[frame.next_input++].get();
-      if (!visited.count(input)) stack.push_back({input, 0});
-      continue;
+  for (const LineageItem* item : OrderLineage({root.get()}).items) {
+    if (item->is_dedup() && patches_seen.insert(item->patch().get()).second) {
+      SerializePatch(*item->patch(), patches_out);
     }
-    if (visited.insert(item).second) {
-      if (item->is_dedup() &&
-          patches_seen.insert(item->patch().get()).second) {
-        SerializePatch(*item->patch(), patches_out);
-      }
-      items_out << "(" << item->id() << ") " << item->opcode();
-      for (const LineageItemPtr& input : item->inputs()) {
-        items_out << " (" << input->id() << ")";
-      }
-      if (!item->data().empty()) {
-        items_out << " \"" << EscapeDataString(item->data()) << "\"";
-      }
-      items_out << "\n";
+    items_out << "(" << item->id() << ") " << item->opcode();
+    for (const LineageItemPtr& input : item->inputs()) {
+      items_out << " (" << input->id() << ")";
     }
-    stack.pop_back();
+    if (!item->data().empty()) {
+      items_out << " \"" << EscapeDataString(item->data()) << "\"";
+    }
+    items_out << "\n";
   }
   return patches_out.str() + items_out.str();
 }
@@ -262,9 +242,7 @@ Result<LineageItemPtr> DeserializeLineage(const std::string& log,
     }
 
     LineageItemPtr item;
-    if (opcode == LineageItem::kLiteralOpcode) {
-      item = LineageItem::CreateLiteral(data);
-    } else if (opcode == LineageItem::kPlaceholderOpcode) {
+    if (opcode == LineageItem::kPlaceholderOpcode) {
       LIMA_ASSIGN_OR_RETURN(int64_t index,
                             ParseStoredInt64(data, 0, kMaxInt, "placeholder"));
       item = LineageItem::CreatePlaceholder(static_cast<int>(index));

@@ -12,7 +12,8 @@ namespace persist {
 
 /// On-disk layout of a lineage store segment (docs/PERSISTENCE.md):
 ///
-///   header (16 bytes):  "LIMAPST1" | u32 version | u32 flags
+///   header (16 bytes):  "LIMAPST1" | u32 version | u32 flags (always
+///                       kFlagCompressed; readers refuse any other word)
 ///   record*:            u8 type | u32 payload_size | payload | u32 crc
 ///                       (crc covers type + size + payload)
 ///   footer (32 bytes):  "LIMAFTR1" | u64 record_count | u64 records_end

@@ -107,25 +107,7 @@ Result<ReconstructedProgram> ReconstructProgram(const LineageItemPtr& root) {
   // sibling outputs replay one instruction.
   std::unordered_map<std::string, std::vector<std::string>> dedup_calls;
 
-  // Iterative post-order over the DAG.
-  struct Frame {
-    const LineageItem* item;
-    size_t next_input;
-  };
-  std::vector<Frame> stack{{root.get(), 0}};
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    const LineageItem* item = frame.item;
-    if (var_of.count(item) > 0) {
-      stack.pop_back();
-      continue;
-    }
-    if (frame.next_input < item->inputs().size()) {
-      const LineageItem* input = item->inputs()[frame.next_input++].get();
-      if (var_of.count(input) == 0) stack.push_back({input, 0});
-      continue;
-    }
-    stack.pop_back();
+  for (const LineageItem* item : OrderLineage({root.get()}).items) {
     const std::string var = "t" + std::to_string(item->id());
 
     if (item->opcode_id() == ReadId()) {
