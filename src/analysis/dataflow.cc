@@ -16,7 +16,8 @@ bool LiteralAsInt(const ScalarValue& v, int64_t* out) {
       return true;
     case ScalarKind::kDouble: {
       double d = v.AsDouble();
-      if (std::floor(d) == d && std::fabs(d) < 9.0e15) {
+      if (std::floor(d) == d &&
+          std::fabs(d) <= static_cast<double>(kMaxExactInt)) {
         *out = static_cast<int64_t>(d);
         return true;
       }

@@ -75,6 +75,11 @@ struct Dim {
   }
 };
 
+/// Largest integer magnitude that a double, the run-time form of every
+/// scalar, holds exactly together with all smaller integers. Past it the run
+/// rounds integer arithmetic, so no scalar constant exceeds it.
+inline constexpr int64_t kMaxExactInt = int64_t{1} << 53;
+
 /// Least upper bound: equal dims survive, anything else widens to unknown.
 inline Dim JoinDim(const Dim& a, const Dim& b) {
   return a == b ? a : Dim::Unknown();
@@ -128,10 +133,13 @@ struct ShapeInfo {
     s.kind = Kind::kScalar;
     return s;
   }
+  /// A literal or folded integer constant beyond ±kMaxExactInt is recorded
+  /// as unknown: the run computes it in doubles and may not reach it.
   static ShapeInfo ScalarValue(Dim v) {
     ShapeInfo s;
     s.kind = Kind::kScalar;
-    s.value = v;
+    const bool exact = v.value >= -kMaxExactInt && v.value <= kMaxExactInt;
+    if (!v.is_const() || exact) s.value = v;
     return s;
   }
   static ShapeInfo ScalarConst(int64_t v) { return ScalarValue(Dim::Const(v)); }

@@ -74,13 +74,35 @@ TEST(ShapeInferenceTest, OverflowingConstantsAreUnknown) {
   EXPECT_TRUE(FinalShape(mul, "n").value.is_const());
   EXPECT_FALSE(FinalShape(mul, "m").value.is_const());
   ShapeAnalysis add = Analyze("a = 3000000000; b = a * a; c = b + b;");
-  EXPECT_TRUE(FinalShape(add, "b").value.is_const());
+  EXPECT_FALSE(FinalShape(add, "b").value.is_const());  // past 2^53
   EXPECT_FALSE(FinalShape(add, "c").value.is_const());
   ShapeAnalysis seq = Analyze(
       "s = seq(-9000000000000000000, 9000000000000000000, 1);\n"
       "l = length(matrix(0, 4294967296, 4294967296));");
   EXPECT_FALSE(FinalShape(seq, "s").rows.is_const());
   EXPECT_FALSE(FinalShape(seq, "l").value.is_const());
+}
+
+TEST(ShapeInferenceTest, ConstantsPastDoublePrecisionAreUnknown) {
+  // Scalars are doubles at run time, exact only within 2^53: the run rounds
+  // 3037000499^2 to 9223372030926248960, and computes m = 0 below (a 0-row
+  // X), so neither product is a constant the run is sure to compute.
+  ShapeAnalysis square = Analyze("a = 3037000499; b = a * a;");
+  EXPECT_TRUE(FinalShape(square, "a").value.is_const());
+  EXPECT_FALSE(FinalShape(square, "b").value.is_const());
+  ShapeAnalysis sized = Analyze(
+      "a = 94906267; b = a * a; m = b - 9007199515875288;\n"
+      "X = matrix(1, m, 1000); print(sum(X));");
+  EXPECT_FALSE(FinalShape(sized, "b").value.is_const());
+  EXPECT_FALSE(FinalShape(sized, "m").value.is_const());
+  EXPECT_FALSE(FinalShape(sized, "X").rows.is_const());
+  EXPECT_FALSE(sized.exact);
+  // 2^53 itself and its negation are exact doubles and stay constants.
+  ShapeAnalysis edge = Analyze(
+      "p = 4194304 * 2147483648; n = 0 - p; q = p + 1;");
+  EXPECT_EQ(FinalShape(edge, "p").value, Dim::Const(int64_t{1} << 53));
+  EXPECT_EQ(FinalShape(edge, "n").value, Dim::Const(-(int64_t{1} << 53)));
+  EXPECT_FALSE(FinalShape(edge, "q").value.is_const());
 }
 
 TEST(ShapeInferenceTest, IntegerDivisionFoldsLikeTheRuntime) {
