@@ -86,13 +86,6 @@ struct LimaConfig {
   /// Degree of parallelism for parfor loops (1 = sequential execution).
   int parfor_workers = 1;
 
-  /// Compile-time parfor loop-dependency analysis
-  /// (analysis/parfor_dependency.h). When on, every parfor is annotated
-  /// {safe, serialize, reject}; the runtime degrades unproven loops to one
-  /// worker, and proven carried dependences fail under VerifyMode::kStrict.
-  /// When off, parfor blocks run parallel unconditionally (seed behavior).
-  bool parfor_dependency_check = true;
-
   /// Compile-time redundancy & cost analysis (analysis/redundancy.h): the
   /// lineage-aware GVN pass runs in the compile pipeline, probe verdicts
   /// are stamped on instructions (probe_disabled_static), and operator

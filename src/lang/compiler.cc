@@ -177,24 +177,22 @@ class Compiler {
     // last-use operands for in-place execution. Runs unconditionally so the
     // compiled program is identical whether in-place is enabled at runtime.
     AnnotateLiveness(program_.get());
-    if (config_.parfor_dependency_check) {
-      // Phase 1 (deferred from statement compilation): shape inference
-      // proves loop-invariant integer constants (n = nrow(X) with X of
-      // known shape); the dependency tests substitute them to make
-      // symbolic subscripts concrete.
-      ShapeAnalysis shapes = InferShapes(*program_);
-      for (auto& [parfor, stmt] : pending_parfors_) {
-        auto facts = shapes.parfor_consts.find(parfor);
-        *parfor->mutable_dep_info() =
-            facts == shapes.parfor_consts.end() || facts->second.empty()
-                ? AnalyzeParForStatement(*stmt)
-                : AnalyzeParForStatement(*stmt, facts->second);
-      }
-      // Phase 2 runs after AnalyzeProgram (function determinism fixpoint)
-      // and after every instruction rewrite, so the nondeterminism scan
-      // sees the instruction streams that will actually execute.
-      FinalizeParForAnalysis(program_.get());
+    // Phase 1 (deferred from statement compilation): shape inference
+    // proves loop-invariant integer constants (n = nrow(X) with X of
+    // known shape); the dependency tests substitute them to make
+    // symbolic subscripts concrete.
+    ShapeAnalysis shapes = InferShapes(*program_);
+    for (auto& [parfor, stmt] : pending_parfors_) {
+      auto facts = shapes.parfor_consts.find(parfor);
+      *parfor->mutable_dep_info() =
+          facts == shapes.parfor_consts.end() || facts->second.empty()
+              ? AnalyzeParForStatement(*stmt)
+              : AnalyzeParForStatement(*stmt, facts->second);
     }
+    // Phase 2 runs after AnalyzeProgram (function determinism fixpoint)
+    // and after every instruction rewrite, so the nondeterminism scan
+    // sees the instruction streams that will actually execute.
+    FinalizeParForAnalysis(program_.get());
     return std::move(program_);
   }
 
@@ -740,9 +738,7 @@ class Compiler {
         if (stmt.is_parfor) {
           auto* parfor = static_cast<ParForBlock*>(block.get());
           parfor->set_source_line(stmt.line);
-          if (config_.parfor_dependency_check) {
-            pending_parfors_.emplace_back(parfor, &stmt);
-          }
+          pending_parfors_.emplace_back(parfor, &stmt);
         }
         scopes_.back().blocks->push_back(std::move(block));
         EmitPredicateCleanup(std::move(pred_temps));

@@ -182,8 +182,8 @@ struct ParForFinding {
 };
 
 /// Dependency-analysis annotation of one parfor block, filled at compile
-/// time. Unanalyzed blocks (hand-built programs, analysis disabled) keep
-/// `analyzed == false` and execute parallel as before.
+/// time. Unanalyzed blocks (hand-built programs that bypass the compiler)
+/// keep `analyzed == false` and execute parallel as before.
 struct ParForDepInfo {
   bool analyzed = false;
   ParForSafety verdict = ParForSafety::kSafe;

@@ -435,17 +435,6 @@ TEST(ParforDependencyTest, NondeterministicCalleeSerializes) {
 
 // --- configuration and verifier integration --------------------------------
 
-TEST(ParforDependencyTest, CheckDisabledLeavesBlockUnanalyzed) {
-  LimaConfig config = LimaConfig::Lima();
-  config.parfor_dependency_check = false;
-  ParForDepInfo info = Analyze(R"(
-    X = matrix(1, 10, 1);
-    parfor (i in 1:9) { X[i + 1, 1] = X[i, 1] + 1; }
-  )", config);
-  EXPECT_FALSE(info.analyzed);
-  EXPECT_TRUE(info.findings.empty());
-}
-
 TEST(ParforDependencyTest, VerifierSurfacesFindingsAsDiagnostics) {
   LimaConfig config = LimaConfig::Lima();
   Result<std::unique_ptr<Program>> program = CompileScript(R"(

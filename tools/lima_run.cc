@@ -29,10 +29,6 @@
 //                                fails on verification errors, only verifies
 //                                without executing. Parfor loop-dependency
 //                                findings (parfor-*) appear in the same report
-//   --parfor-check=on|off        compile-time parfor loop-dependency analysis
-//                                (default: on). Unproven loops run with one
-//                                worker; proven carried dependences are
-//                                errors under --verify=strict
 //   --inplace=on|off             in-place execution of elementwise ops on
 //                                provably dead, unaliased buffers (default:
 //                                on). Results and lineage are identical
@@ -77,8 +73,8 @@ void PrintUsage() {
                "[--cache-shards=N] [--spill] "
                "[--stats] [--profile[=text|json|csv]] [--lineage=VAR]\n"
                "                [--verify[=report|strict|only]] "
-               "[--parfor-check=on|off]\n                "
-               "[--inplace=on|off] [--mem-report] [--redundancy=on|off]\n"
+               "[--inplace=on|off]\n                [--mem-report] "
+               "[--redundancy=on|off]\n"
                "                [--plan-report[=text|json]] "
                "[--store-dir=DIR]\n                [--lineage-query=Q] "
                "<script.dml | ->\n");
@@ -161,15 +157,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         config.max_parallelism = *par;
-      }
-    } else if (ParseFlag(arg, "parfor-check", &value)) {
-      if (value == "on") {
-        config.parfor_dependency_check = true;
-      } else if (value == "off") {
-        config.parfor_dependency_check = false;
-      } else {
-        std::fprintf(stderr, "unknown parfor-check mode: %s\n", value.c_str());
-        return 2;
       }
     } else if (ParseFlag(arg, "budget-mb", &value)) {
       // Range-checked so the MB -> bytes conversion below cannot overflow.
