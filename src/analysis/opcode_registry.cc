@@ -941,21 +941,6 @@ bool IsReusableOpcode(OpcodeId id) {
   return effect != nullptr && effect->reusable;
 }
 
-bool IsDeterministicOpcode(OpcodeId id) {
-  const OpcodeEffect* effect = LookupOpcode(id);
-  return effect != nullptr && effect->deterministic;
-}
-
-bool IsFunctionCallOpcode(OpcodeId id) {
-  const OpcodeEffect* effect = LookupOpcode(id);
-  return effect != nullptr && effect->category == Cat::kCall;
-}
-
-bool HasSideEffects(OpcodeId id) {
-  const OpcodeEffect* effect = LookupOpcode(id);
-  return effect == nullptr || effect->side_effects;
-}
-
 const char* OpcodeCategoryName(OpcodeCategory category) {
   switch (category) {
     case Cat::kCompute:
@@ -985,32 +970,6 @@ const OpcodeEffect* LookupOpcode(std::string_view opcode) {
   const auto& index = Index();
   auto it = index.find(opcode);
   return it == index.end() ? nullptr : it->second;
-}
-
-bool IsRegisteredOpcode(std::string_view opcode) {
-  return LookupOpcode(opcode) != nullptr;
-}
-
-bool IsReusableOpcode(std::string_view opcode) {
-  const OpcodeEffect* effect = LookupOpcode(opcode);
-  return effect != nullptr && effect->reusable;
-}
-
-bool IsDeterministicOpcode(std::string_view opcode) {
-  const OpcodeEffect* effect = LookupOpcode(opcode);
-  return effect != nullptr && effect->deterministic;
-}
-
-bool IsFunctionCallOpcode(std::string_view opcode) {
-  const OpcodeEffect* effect = LookupOpcode(opcode);
-  return effect != nullptr && effect->category == Cat::kCall;
-}
-
-bool HasSideEffects(std::string_view opcode) {
-  const OpcodeEffect* effect = LookupOpcode(opcode);
-  // Unknown opcodes are treated as side-effecting: analyses must stay
-  // conservative for anything outside the registry.
-  return effect == nullptr || effect->side_effects;
 }
 
 std::vector<std::string> VerifyOpcodeEffects(

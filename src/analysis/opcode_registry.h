@@ -169,24 +169,10 @@ const OpcodeEffect* LookupOpcode(OpcodeId id);
 /// in this vector has OpcodeId(i).
 const std::vector<OpcodeEffect>& AllOpcodeEffects();
 
-bool IsRegisteredOpcode(std::string_view opcode);
-
-/// Registry-backed replacement of the old IsDefaultReusableOpcode string
-/// set: true when `opcode` is in the default reusable-instruction set.
-bool IsReusableOpcode(std::string_view opcode);
+/// True when `id` is in the default reusable-instruction set (the
+/// per-instruction check of Instruction::IsReusable; every other property
+/// is read from LookupOpcode's row).
 bool IsReusableOpcode(OpcodeId id);
-
-/// Conservative opcode-level determinism (see OpcodeEffect::deterministic).
-bool IsDeterministicOpcode(std::string_view opcode);
-bool IsDeterministicOpcode(OpcodeId id);
-
-/// fcall/eval — ops that transfer control into user functions.
-bool IsFunctionCallOpcode(std::string_view opcode);
-bool IsFunctionCallOpcode(OpcodeId id);
-
-/// Ops with effects beyond the symbol table (print/stop/write/...).
-bool HasSideEffects(std::string_view opcode);
-bool HasSideEffects(OpcodeId id);
 
 /// Internal-consistency lints over the registry itself. Returns one message
 /// per violation; empty when the table is sound:

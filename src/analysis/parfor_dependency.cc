@@ -1140,7 +1140,7 @@ void ScanInstructions(const Program& program, const BasicBlock& block,
       }
       continue;
     }
-    const OpcodeEffect* effect = LookupOpcode(opcode);
+    const OpcodeEffect* effect = LookupOpcode(instruction->opcode_id());
     if (effect != nullptr && effect->dynamic_dispatch) {
       if (seen->insert("dyn:" + opcode).second) {
         AddFinding(info, /*blocking=*/false, "nondet-call",

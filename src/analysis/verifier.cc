@@ -341,7 +341,7 @@ class Verifier {
                         const std::string& loc) {
     const int line = instruction.source_line();
     const std::string& op = instruction.opcode();
-    const OpcodeEffect* effect = LookupOpcode(op);
+    const OpcodeEffect* effect = LookupOpcode(instruction.opcode_id());
     if (effect == nullptr) {
       Error("unknown-opcode",
             "opcode '" + op + "' has no effect-registry entry", loc, line);

@@ -122,7 +122,8 @@ void CheckEligibility(const std::vector<BlockPtr>& blocks,
       case BlockKind::kBasic: {
         const auto& basic = static_cast<const BasicBlock&>(*block);
         for (const auto& instruction : basic.instructions()) {
-          if (IsFunctionCallOpcode(instruction->opcode())) {
+          const OpcodeEffect* effect = LookupOpcode(instruction->opcode_id());
+          if (effect != nullptr && effect->category == OpcodeCategory::kCall) {
             result->eligible = false;
             return;
           }
@@ -188,9 +189,8 @@ void FillBlockReuseInfo(BasicBlock* block) {
   };
 
   for (const auto& instruction : block->instructions()) {
-    const std::string& op = instruction->opcode();
     signature = HashCombine(signature, HashBytes(instruction->ToString()));
-    const OpcodeEffect* effect = LookupOpcode(op);
+    const OpcodeEffect* effect = LookupOpcode(instruction->opcode_id());
     if (effect == nullptr || effect->side_effects ||
         effect->category == OpcodeCategory::kCall) {
       // Side effects / nested calls (or an unregistered opcode, treated
@@ -278,7 +278,7 @@ void AnalyzeProgram(Program* program) {
     WalkBlocks(fn->body(), Predicates::kVisit, [&](const BasicBlock& block) {
       for (const auto& instruction : block.instructions()) {
         if (!instruction->IsDeterministic()) has_nondet = true;
-        const OpcodeEffect* effect = LookupOpcode(instruction->opcode());
+        const OpcodeEffect* effect = LookupOpcode(instruction->opcode_id());
         if (effect != nullptr && effect->dynamic_dispatch) {
           has_nondet = true;  // callee unresolvable statically
         }

@@ -266,15 +266,17 @@ TEST(VerifyTest, EveryElementwiseOperatorRegistered) {
                       BinaryOp::kLt, BinaryOp::kGt, BinaryOp::kLe,
                       BinaryOp::kGe, BinaryOp::kAnd, BinaryOp::kOr,
                       BinaryOp::kMod, BinaryOp::kIntDiv}) {
-    EXPECT_TRUE(IsRegisteredOpcode(BinaryOpName(op))) << BinaryOpName(op);
-    EXPECT_TRUE(IsReusableOpcode(BinaryOpName(op))) << BinaryOpName(op);
+    const OpcodeEffect* effect = LookupOpcode(BinaryOpName(op));
+    ASSERT_NE(effect, nullptr) << BinaryOpName(op);
+    EXPECT_TRUE(effect->reusable) << BinaryOpName(op);
   }
   for (UnaryOp op : {UnaryOp::kExp, UnaryOp::kLog, UnaryOp::kSqrt,
                      UnaryOp::kAbs, UnaryOp::kRound, UnaryOp::kFloor,
                      UnaryOp::kCeil, UnaryOp::kSign, UnaryOp::kNeg,
                      UnaryOp::kNot, UnaryOp::kSigmoid}) {
-    EXPECT_TRUE(IsRegisteredOpcode(UnaryOpName(op))) << UnaryOpName(op);
-    EXPECT_TRUE(IsReusableOpcode(UnaryOpName(op))) << UnaryOpName(op);
+    const OpcodeEffect* effect = LookupOpcode(UnaryOpName(op));
+    ASSERT_NE(effect, nullptr) << UnaryOpName(op);
+    EXPECT_TRUE(effect->reusable) << UnaryOpName(op);
   }
 }
 
@@ -300,7 +302,7 @@ TEST(VerifyTest, EveryConstructorOpcodeRegistered) {
       "fused",
   };
   for (const char* opcode : kConstructorOpcodes) {
-    EXPECT_TRUE(IsRegisteredOpcode(opcode))
+    EXPECT_NE(LookupOpcode(opcode), nullptr)
         << "constructor-producible opcode '" << opcode
         << "' missing from the effect registry";
   }
@@ -330,11 +332,9 @@ TEST(VerifyTest, RegistryMetadataMatchesKnownOps) {
   EXPECT_TRUE(eval->dynamic_dispatch);
   EXPECT_FALSE(eval->deterministic);
 
-  EXPECT_TRUE(HasSideEffects("print"));
-  EXPECT_TRUE(HasSideEffects("write"));
-  EXPECT_FALSE(HasSideEffects("mm"));
-  // Unknown opcodes are conservatively side-effecting.
-  EXPECT_TRUE(HasSideEffects("no_such_op"));
+  EXPECT_TRUE(LookupOpcode("print")->side_effects);
+  EXPECT_TRUE(LookupOpcode("write")->side_effects);
+  EXPECT_FALSE(mm->side_effects);
 }
 
 // ---- Strict mode through the session --------------------------------------
