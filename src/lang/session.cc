@@ -175,7 +175,7 @@ Result<int64_t> LimaSession::PersistLineage(const std::string& dir) {
   }
   std::string path =
       store + "/" +
-      persist::SegmentFileName(persist::NextSegmentIndex(store));
+      persist::kSegmentFiles.Name(persist::kSegmentFiles.Next(store));
   LIMA_RETURN_NOT_OK(writer.Seal(path));
   return writer.num_lineage_records();
 }

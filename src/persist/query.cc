@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -11,6 +10,7 @@
 #include "common/config.h"
 #include "lineage/dedup.h"
 #include "persist/lineage_store.h"
+#include "persist/snapshot.h"
 #include "reuse/lineage_cache.h"
 #include "runtime/data.h"
 #include "runtime/execution_context.h"
@@ -25,13 +25,11 @@ namespace {
 /// Store files a query walks: all lineage segments plus the CURRENT cache
 /// snapshot (cache keys are lineage records too).
 std::vector<std::string> QueryFiles(const std::string& dir) {
-  std::vector<std::string> files = ListSegments(dir);
-  std::ifstream current(dir + "/CURRENT");
-  std::string snapshot;
-  if (current && std::getline(current, snapshot) && !snapshot.empty() &&
-      snapshot.find('/') == std::string::npos &&
-      std::filesystem::exists(dir + "/" + snapshot)) {
-    files.push_back(snapshot);
+  std::vector<std::string> files = kSegmentFiles.List(dir);
+  Result<std::string> snapshot = ReadCurrentSnapshot(dir);
+  if (snapshot.ok() && !snapshot->empty() &&
+      std::filesystem::exists(dir + "/" + *snapshot)) {
+    files.push_back(*snapshot);
   }
   return files;
 }

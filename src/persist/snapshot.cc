@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "common/string_util.h"
 #include "matrix/matrix_io.h"
 #include "persist/format.h"
 #include "persist/lineage_store.h"
@@ -19,45 +20,15 @@ namespace persist {
 namespace {
 
 constexpr char kCurrentFile[] = "CURRENT";
-constexpr char kSnapshotPrefix[] = "snapshot_";
 constexpr char kValuePrefix[] = "val_";
 constexpr char kSpillPrefix[] = "lima_spill_";
 constexpr char kSnapshotKind[] = "cache_snapshot";
-
-bool HasPrefix(const std::string& name, const char* prefix) {
-  return name.rfind(prefix, 0) == 0;
-}
-
-bool HasSuffix(const std::string& name, const char* suffix) {
-  size_t n = std::char_traits<char>::length(suffix);
-  return name.size() >= n && name.compare(name.size() - n, n, suffix) == 0;
-}
-
-std::string SnapshotFileName(int64_t generation) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%s%06lld.lls", kSnapshotPrefix,
-                static_cast<long long>(generation));
-  return buf;
-}
-
-int64_t NextSnapshotGeneration(const std::string& dir) {
-  int64_t max_gen = 0;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (HasPrefix(name, kSnapshotPrefix) && HasSuffix(name, ".lls")) {
-      max_gen = std::max<int64_t>(
-          max_gen, std::atoll(name.c_str() + sizeof(kSnapshotPrefix) - 1));
-    }
-  }
-  return max_gen + 1;
-}
 
 /// A store-relative file name a snapshot may legitimately reference: no
 /// path separators (a corrupted name must not escape the store dir) and
 /// the value-file prefix.
 bool ValidValueFileName(const std::string& name) {
-  return HasPrefix(name, kValuePrefix) && HasSuffix(name, ".bin") &&
+  return StartsWith(name, kValuePrefix) && EndsWith(name, ".bin") &&
          name.find('/') == std::string::npos &&
          name.find("..") == std::string::npos;
 }
@@ -74,11 +45,11 @@ void SweepStoreDir(const std::string& dir, const std::string& keep_snapshot,
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     std::string name = entry.path().filename().string();
     bool remove = false;
-    if (HasPrefix(name, kSnapshotPrefix) && HasSuffix(name, ".lls")) {
+    if (kSnapshotFiles.IndexOf(name) >= 0) {
       remove = name != keep_snapshot;
-    } else if (HasPrefix(name, kValuePrefix) && HasSuffix(name, ".bin")) {
+    } else if (StartsWith(name, kValuePrefix) && EndsWith(name, ".bin")) {
       remove = keep_values.count(name) == 0;
-    } else if (sweep_spills && HasPrefix(name, kSpillPrefix)) {
+    } else if (sweep_spills && StartsWith(name, kSpillPrefix)) {
       long long pid = std::atoll(name.c_str() + sizeof(kSpillPrefix) - 1);
       remove = pid != static_cast<long long>(::getpid());
     } else if (name.find(".tmp.") != std::string::npos) {
@@ -97,6 +68,18 @@ void SweepStoreDir(const std::string& dir, const std::string& keep_snapshot,
 }
 
 }  // namespace
+
+Result<std::string> ReadCurrentSnapshot(const std::string& dir) {
+  std::ifstream in(dir + "/" + kCurrentFile);
+  if (!in) return std::string();
+  std::string current;
+  std::getline(in, current);
+  if (kSnapshotFiles.IndexOf(current) < 0) {
+    return Status::Invalid("CURRENT names an invalid snapshot: '" + current +
+                           "'");
+  }
+  return current;
+}
 
 std::string ValueFileName(uint64_t key_hash, int64_t size_bytes) {
   char buf[64];
@@ -189,7 +172,7 @@ Result<SnapshotStats> SaveCacheSnapshot(LineageCache* cache,
     ++stats.tenants;
   }
 
-  stats.file = SnapshotFileName(NextSnapshotGeneration(dir));
+  stats.file = kSnapshotFiles.Name(kSnapshotFiles.Next(dir));
   stats.bytes = writer.SizeBytes();
   LIMA_RETURN_NOT_OK(writer.Seal(dir + "/" + stats.file));
   // Publication point: CURRENT flips to the new generation atomically; a
@@ -212,19 +195,13 @@ WarmStartReport LoadCacheSnapshot(LineageCache* cache,
     return report;
   };
 
-  std::string current;
-  {
-    std::ifstream in(dir + "/" + kCurrentFile);
-    if (!in) {
-      // Clean cold start; still reap anything a crashed process left.
-      SweepStoreDir(dir, /*keep_snapshot=*/"", {}, /*sweep_spills=*/true);
-      return report;
-    }
-    std::getline(in, current);
-  }
-  if (!HasPrefix(current, kSnapshotPrefix) || !HasSuffix(current, ".lls") ||
-      current.find('/') != std::string::npos) {
-    return reject("CURRENT names an invalid snapshot: '" + current + "'");
+  Result<std::string> read = ReadCurrentSnapshot(dir);
+  if (!read.ok()) return reject(read.status().message());
+  const std::string current = std::move(read).ValueOrDie();
+  if (current.empty()) {
+    // Clean cold start; still reap anything a crashed process left.
+    SweepStoreDir(dir, /*keep_snapshot=*/"", {}, /*sweep_spills=*/true);
+    return report;
   }
 
   Result<std::unique_ptr<LineageStoreReader>> opened =

@@ -67,6 +67,13 @@ Result<SnapshotStats> SaveCacheSnapshot(LineageCache* cache,
 /// files left behind by dead processes.
 WarmStartReport LoadCacheSnapshot(LineageCache* cache, const std::string& dir);
 
+/// The live snapshot generation that `dir`'s CURRENT file names: "" when
+/// there is no CURRENT (no snapshot was ever published), an Invalid error
+/// when CURRENT names anything but a snapshot generation
+/// (snapshot_NNNNNN.lls). Warm start and lineage queries both read CURRENT
+/// through it.
+Result<std::string> ReadCurrentSnapshot(const std::string& dir);
+
 /// Content-addressed value file name for a cache key hash + value size.
 std::string ValueFileName(uint64_t key_hash, int64_t size_bytes);
 

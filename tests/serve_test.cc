@@ -196,7 +196,7 @@ TEST(ServeTest, MalformedStoredLiteralsFailTheRequestNotTheDaemon) {
             LineageItem::CreateLiteral("I99999999999999999999")});
   persist::LineageStoreWriter segment;
   segment.AppendLineage("r", root);
-  ASSERT_TRUE(segment.Seal(dir + "/" + persist::SegmentFileName(1)).ok());
+  ASSERT_TRUE(segment.Seal(dir + "/" + persist::kSegmentFiles.Name(1)).ok());
 
   ServeOptions options;
   options.socket_path = SocketPath("badstore");
