@@ -291,11 +291,19 @@ EOF
 grep -q "persisted .* lineage records" "$BUILD_DIR/ci_persist.log" \
   || { echo "persist smoke: nothing persisted" >&2; exit 1; }
 "$BUILD_DIR/tools/lima_run" --store-dir="$PERSIST_DIR" --lineage-query=list \
-  | grep -q "result" \
+  > "$BUILD_DIR/ci_persist_list.txt"
+RESULT_ID=$(sed -n 's/.* name=result root=\([0-9]*\) .*/\1/p' \
+  "$BUILD_DIR/ci_persist_list.txt")
+[[ -n "$RESULT_ID" ]] \
   || { echo "persist smoke: list query missing the record" >&2; exit 1; }
 "$BUILD_DIR/tools/lima_run" --store-dir="$PERSIST_DIR" --lineage-query=stats \
   | grep -q "segments=1" \
   || { echo "persist smoke: stats query failed" >&2; exit 1; }
+# Replay decodes the record in place (one item parser) and re-executes it
+# (ReconstructProgram); the script printed "persist checksum: 6648.11".
+"$BUILD_DIR/tools/lima_run" --store-dir="$PERSIST_DIR" \
+  --lineage-query=replay:"$RESULT_ID" | grep -q "^output = scalar D6648\.1" \
+  || { echo "persist smoke: replay of result failed" >&2; exit 1; }
 
 PERSIST_SOCK="$BUILD_DIR/ci_persist.sock"
 for phase in cold warm; do
