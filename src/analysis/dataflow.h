@@ -1,16 +1,10 @@
 #ifndef LIMA_ANALYSIS_DATAFLOW_H_
 #define LIMA_ANALYSIS_DATAFLOW_H_
 
-#include <cstdint>
-#include <map>
-#include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "analysis/shape_info.h"
-#include "analysis/verifier.h"
 #include "runtime/block_visitor.h"
 #include "runtime/program.h"
 
@@ -22,8 +16,8 @@ namespace lima {
 /// cap is widened by its domain.
 constexpr int kMaxLoopPasses = 16;
 
-/// Forward dataflow over a compiled block tree, shared by the compile-time
-/// abstract interpreters (shape inference, the redundancy GVN). The driver
+/// Forward dataflow over a compiled block tree, under the compile-time
+/// analysis (analysis/redundancy.h: shapes and value numbers). The driver
 /// owns the traversal: predicate order, branch fork/join and the loop
 /// fixpoint. A domain supplies the lattice:
 ///
@@ -143,88 +137,6 @@ class ForwardDataflow {
   }
 
   Domain& domain_;
-};
-
-/// Pointwise join of two environments: every name bound on either side
-/// maps to join(name, a's value, b's value), with nullptr for the side
-/// that does not bind it.
-template <typename Env, typename JoinValue>
-Env JoinEnvs(const Env& a, const Env& b, const JoinValue& join) {
-  Env out;
-  for (const auto& [name, value] : a) {
-    auto it = b.find(name);
-    out[name] = join(name, &value, it == b.end() ? nullptr : &it->second);
-  }
-  for (const auto& [name, value] : b) {
-    if (a.find(name) == a.end()) out[name] = join(name, nullptr, &value);
-  }
-  return out;
-}
-
-/// Map equality for environments: same keys, equal values.
-template <typename Env>
-bool EnvsEqual(const Env& a, const Env& b) {
-  if (a.size() != b.size()) return false;
-  for (const auto& [name, value] : a) {
-    auto it = b.find(name);
-    if (it == b.end() || it->second != value) return false;
-  }
-  return true;
-}
-
-/// Abstract shape of a scalar literal: a constant when integral.
-ShapeInfo LiteralShape(const ScalarValue& v);
-
-/// Shape-rule argument of a literal operand.
-ShapeArg LiteralArg(const ScalarValue& literal);
-
-/// The shape of an environment entry: the entry itself, or the `shape`
-/// member of domains that track more than a shape per variable.
-inline const ShapeInfo& ShapeOf(const ShapeInfo& shape) { return shape; }
-template <typename Value>
-const ShapeInfo& ShapeOf(const Value& value) {
-  return value.shape;
-}
-
-/// The shape-rule argument for `op`: a literal's kind and value, else the
-/// bound variable's shape in `env` (Unknown when unbound).
-template <typename Env>
-ShapeArg BuildArg(const Operand& op, const Env& env) {
-  if (op.is_literal) return LiteralArg(op.literal);
-  ShapeArg arg;
-  auto it = env.find(op.name);
-  arg.shape = it == env.end() ? ShapeInfo::Unknown() : ShapeOf(it->second);
-  return arg;
-}
-
-/// Symbols for unknown matrix dimensions, memoized per (instruction,
-/// output, dimension) so repeated visits (loop passes, call sites) agree
-/// and widening terminates.
-class SymbolMinter {
- public:
-  /// `shape` with each unknown matrix dimension replaced by its symbol.
-  ShapeInfo MintSyms(const void* instr, int output, ShapeInfo shape);
-
- private:
-  Dim StableSym(const void* instr, int output, int which);
-
-  std::map<std::tuple<const void*, int, int>, int32_t> memo_;
-  int32_t next_ = 0;
-};
-
-/// Appends diagnostics to a list, dropping repeats of the same code, scope,
-/// line and message: loop passes and call sites revisit instructions.
-class DiagnosticSink {
- public:
-  explicit DiagnosticSink(std::vector<Diagnostic>* out) : out_(out) {}
-
-  void Report(Diagnostic::Severity severity, std::string code,
-              std::string message, const std::string& scope,
-              const std::string& location, int line);
-
- private:
-  std::vector<Diagnostic>* out_;
-  std::set<std::string> reported_;
 };
 
 }  // namespace lima

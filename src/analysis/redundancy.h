@@ -15,7 +15,7 @@
 namespace lima {
 
 /// Compile-time facts about one value-producing instruction, produced by
-/// the global value-numbering pass (AnalyzeRedundancy) and consumed by the
+/// the compile-time analysis (AnalyzeShapesAndValues) and consumed by the
 /// compile pipeline: probe-verdict stamping (AttachStaticPlan) and the
 /// cost-based fusion planner (lang/fusion_pass.h). Pointers key into the
 /// pre-fusion instruction stream, so the pass must run before any rewrite
@@ -56,30 +56,51 @@ struct RedundancyAnalysis {
   /// Per-instruction facts; see InstrStaticFact for pointer validity.
   std::unordered_map<const Instruction*, InstrStaticFact> facts;
 
-  /// nullptr when the instruction was not analyzed.
+  /// nullptr when the analysis never reached the instruction (it lies in a
+  /// function that no call reaches).
   const InstrStaticFact* FindFact(const Instruction* instr) const {
     auto it = facts.find(instr);
     return it == facts.end() ? nullptr : &it->second;
   }
 };
 
-/// Global value numbering + static reuse planning (Sec. 4.4 taken to
-/// compile time): assigns every value-producing instruction a compile-time
-/// value number — a static lineage hash over (opcode, operand value
-/// numbers, literals) — propagated interprocedurally through deterministic
-/// fcalls (call summaries) and across basic blocks, with invalidation at
-/// control merges (phi value numbers per join site), loop heads, and
-/// nondeterministic ops (fresh site-keyed numbers). A parallel abstract
-/// shape environment (the PR-6 lattice) feeds the FLOP+bytes cost model so
-/// each instruction is classified must-compute / probe-worthwhile /
-/// redundant-in-program, and provably redundant subexpressions above the
-/// warning cost threshold surface as `redundant-computation` diagnostics.
+/// Shapes and value numbers of one program, computed together.
+struct ProgramAnalysis {
+  ShapeAnalysis shapes;
+  RedundancyAnalysis redundancy;
+};
+
+/// The compile-time analysis: one forward abstract interpretation over the
+/// dataflow driver (analysis/dataflow.h) whose state binds each variable to
+/// a value number and a shape.
 ///
-/// `assumptions` seed shapes of session-bound inputs (same contract as
-/// InferShapes). The analysis is deterministic: identical programs and
-/// assumptions produce byte-identical plans across runs and processes.
-RedundancyAnalysis AnalyzeRedundancy(
+/// - Shapes follow the catalog's shape-transfer rules, with the header of a
+///   literal `read()` path when the file exists at compile time (the result
+///   is ShapeAnalysis; see InferShapes).
+/// - Value numbers are static lineage hashes over (opcode, operand value
+///   numbers, literals): propagated through copies and across basic
+///   blocks, invalidated at control merges (phi numbers per join site) and
+///   loop heads, fresh and site-keyed for nondeterministic ops. A call to a
+///   deterministic function is numbered by its (callee, argument value
+///   numbers) summary.
+/// - A call walks the callee's body once per call context, with the
+///   argument shapes bound to parameters of opaque value numbers, so the
+///   body's value numbers do not depend on the call site. Functions that no
+///   call reaches are not walked: their instructions get no plan rows and
+///   no facts.
+/// - The FLOP+bytes cost model classifies each computation must-compute /
+///   probe-worthwhile / redundant-in-program. A cost or other shape-derived
+///   fact is known only when every call context's converged pass computed
+///   the same value. Provably redundant computations above the warning
+///   cost threshold surface as `redundant-computation` diagnostics.
+///
+/// `assumptions` seed the shapes of session-bound inputs. The analysis is
+/// deterministic: identical programs and assumptions produce byte-identical
+/// plans across runs and processes.
+ProgramAnalysis AnalyzeShapesAndValues(
     const Program& program, const std::vector<ShapeAssumption>& assumptions);
+
+/// The redundancy half of AnalyzeShapesAndValues without assumptions.
 RedundancyAnalysis AnalyzeRedundancy(const Program& program);
 
 /// Stores the plan on the program and stamps probe verdicts onto its

@@ -86,10 +86,10 @@ struct LimaConfig {
   /// Degree of parallelism for parfor loops (1 = sequential execution).
   int parfor_workers = 1;
 
-  /// Compile-time redundancy & cost analysis (analysis/redundancy.h): the
-  /// lineage-aware GVN pass runs in the compile pipeline, probe verdicts
-  /// are stamped on instructions (probe_disabled_static), and operator
-  /// fusion is planned with the cost model instead of greedily. Purely a
+  /// Compile-time redundancy & cost planning (analysis/redundancy.h): the
+  /// plan of the compile-time analysis is kept, probe verdicts are stamped
+  /// on instructions (probe_disabled_static), and operator fusion is
+  /// planned with the cost model instead of greedily. Purely a
   /// compile-time planner — results and lineage are identical either way.
   bool redundancy_check = true;
 

@@ -145,21 +145,21 @@ class Compiler {
                                    /*skip_funcdefs=*/true));
 
     AnalyzeProgram(program_.get());
-    // Static redundancy & cost analysis (Sec. 4.4 at compile time): value-
-    // number the program, stamp probe verdicts, and keep the analysis
-    // around so operator fusion can plan with it. Runs after AnalyzeProgram
-    // (function determinism feeds call summaries) and before any rewrite
-    // (facts are keyed by the original instruction stream).
-    RedundancyAnalysis redundancy;
+    // The one compile-time analysis (Sec. 4.4 at compile time): shapes and
+    // value numbers in one traversal. Its redundancy half stamps probe
+    // verdicts and lets operator fusion plan; its shape half proves the
+    // parfor constants below. Runs after AnalyzeProgram (function
+    // determinism feeds call summaries) and before any rewrite (facts are
+    // keyed by the original instruction stream).
+    ProgramAnalysis analysis = AnalyzeShapesAndValues(*program_, {});
     if (config_.redundancy_check) {
-      redundancy = AnalyzeRedundancy(*program_);
-      AttachStaticPlan(program_.get(), redundancy);
+      AttachStaticPlan(program_.get(), analysis.redundancy);
     }
     if (config_.operator_fusion) {
       // Without the analysis there are no facts: every eligible link fuses.
       FusionPlanningContext fusion_ctx;
       if (config_.redundancy_check) {
-        fusion_ctx.analysis = &redundancy;
+        fusion_ctx.analysis = &analysis.redundancy;
         fusion_ctx.plan = program_->mutable_static_plan();
       }
       fusion_ctx.reuse_enabled = config_.reuse_enabled();
@@ -180,12 +180,13 @@ class Compiler {
     // Phase 1 (deferred from statement compilation): shape inference
     // proves loop-invariant integer constants (n = nrow(X) with X of
     // known shape); the dependency tests substitute them to make
-    // symbolic subscripts concrete.
-    ShapeAnalysis shapes = InferShapes(*program_);
+    // symbolic subscripts concrete. The rewrites above keep every
+    // ParForBlock and the values of the variables a loop reads.
+    const auto& parfor_consts = analysis.shapes.parfor_consts;
     for (auto& [parfor, stmt] : pending_parfors_) {
-      auto facts = shapes.parfor_consts.find(parfor);
+      auto facts = parfor_consts.find(parfor);
       *parfor->mutable_dep_info() =
-          facts == shapes.parfor_consts.end() || facts->second.empty()
+          facts == parfor_consts.end() || facts->second.empty()
               ? AnalyzeParForStatement(*stmt)
               : AnalyzeParForStatement(*stmt, facts->second);
     }
