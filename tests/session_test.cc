@@ -286,5 +286,27 @@ TEST(SessionTest, LineageBuiltinFailsWithoutTracing) {
   EXPECT_FALSE(status.ok());
 }
 
+TEST(SessionTest, AnalyzedProgramsStayOutOfThePlanReports) {
+  // --mem-report analyses its own compile of the script before the run;
+  // only the executed program belongs in the plan and profile reports.
+  const char* script = "X = rand(rows=4, cols=4, seed=1); s = sum(X + 1);";
+  LimaSession session(LimaConfig::Lima());
+  ASSERT_TRUE(session.AnalyzeShapes(script).ok());
+  ASSERT_TRUE(session.Run(script).ok());
+
+  const std::string json = session.StaticPlanReport("json");
+  int plans = 0;
+  for (size_t at = json.find("\"analyzed\""); at != std::string::npos;
+       at = json.find("\"analyzed\"", at + 1)) {
+    ++plans;
+  }
+  EXPECT_EQ(plans, 1) << json;
+  int64_t programs = -1;
+  for (const auto& [name, value] : session.ProfileReport().static_plan) {
+    if (name == "programs") programs = value;
+  }
+  EXPECT_EQ(programs, 1);
+}
+
 }  // namespace
 }  // namespace lima
