@@ -245,6 +245,13 @@ inline ShapeInfo JoinShape(const ShapeInfo& a, const ShapeInfo& b) {
   return ShapeInfo::Unknown();
 }
 
+/// A variable whose shape is known before the program runs (session
+/// bindings: BindMatrix/BindScalar provide exact dimensions).
+struct ShapeAssumption {
+  std::string name;
+  ShapeInfo shape;
+};
+
 /// One operand of a shape-transfer rule: the abstract shape of the operand
 /// plus — for literal operands and const-propagated scalars — its concrete
 /// value, so rules like `rand(rows=, cols=)` can produce constant dims.

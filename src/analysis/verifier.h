@@ -1,11 +1,10 @@
 #ifndef LIMA_ANALYSIS_VERIFIER_H_
 #define LIMA_ANALYSIS_VERIFIER_H_
 
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "analysis/shape_info.h"
 #include "runtime/program.h"
 
 namespace lima {
@@ -90,11 +89,9 @@ struct VerifyOptions {
   /// as check_shapes; the session layer turns it on when
   /// LimaConfig::redundancy_check is set.
   bool check_redundancy = false;
-  /// Shapes of session-bound inputs, seeding shape inference: parallel
-  /// lists of variable name and (rows, cols). Scalars go in assume_defined
-  /// only.
-  std::vector<std::string> assume_matrix_names;
-  std::vector<std::pair<int64_t, int64_t>> assume_matrix_dims;
+  /// Shapes of session-bound inputs, seeding shape inference and value
+  /// numbering (analysis/redundancy.h).
+  std::vector<ShapeAssumption> assume_shapes;
 };
 
 struct VerifyReport {
