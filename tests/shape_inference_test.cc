@@ -254,6 +254,24 @@ TEST(ShapeInferenceTest, ParForConstsAreRecorded) {
   EXPECT_EQ(it->second, 8);
 }
 
+TEST(ShapeInferenceTest, ParForConstsSurviveRepeatedVisits) {
+  // Each pass of the outer loop visits the parfor again; a constant that
+  // every visit proves stays proven.
+  std::unique_ptr<Program> program = Compile(R"(
+    n = 8;
+    R = matrix(0, n, 1);
+    for (k in 1:3) {
+      parfor (i in 1:n) { R[i, 1] = i * k; }
+    }
+  )");
+  ShapeAnalysis a = InferShapes(*program);
+  ASSERT_EQ(a.parfor_consts.size(), 1u);
+  const auto& facts = a.parfor_consts.begin()->second;
+  auto it = facts.find("n");
+  ASSERT_TRUE(it != facts.end());
+  EXPECT_EQ(it->second, 8);
+}
+
 // ---- Functions -------------------------------------------------------------
 
 TEST(ShapeInferenceTest, FcallPropagatesDims) {
