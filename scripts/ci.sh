@@ -159,12 +159,15 @@ fi
 # stdout, so the parser skips to the first '{' line), and the gridsearch
 # pipeline — hyperparameter sweeps recompute shared subexpressions across
 # loop iterations — must show the planner doing real work: at least one
-# cost-rejected fusion link or cross-block redundancy.
+# cost-rejected fusion link or cross-block redundancy. The report holds the
+# one executed program, also when --mem-report analyses its own compile.
 if command -v python3 >/dev/null 2>&1; then
   for script in "$ROOT"/scripts/*.dml; do
-    echo "plan-report smoke: $script"
-    "$BUILD_DIR/tools/lima_run" --fusion --plan-report=json "$script" \
-      > "$BUILD_DIR/plan_smoke.out" 2>/dev/null
+    for mem_report in "" "--mem-report"; do
+    echo "plan-report smoke: $script $mem_report"
+    # shellcheck disable=SC2086  # an empty $mem_report adds no argument
+    "$BUILD_DIR/tools/lima_run" --fusion $mem_report --plan-report=json \
+      "$script" > "$BUILD_DIR/plan_smoke.out" 2>/dev/null
     python3 - "$BUILD_DIR/plan_smoke.out" "$script" <<'EOF'
 import json, sys
 lines = open(sys.argv[1]).read().splitlines(keepends=True)
@@ -172,6 +175,7 @@ start = next(i for i, l in enumerate(lines) if l.startswith("{"))
 report = json.loads("".join(lines[start:]))
 assert report["redundancy_check"] is True, report
 assert report["programs"], "no compiled programs in plan report"
+assert len(report["programs"]) == 1, len(report["programs"])
 totals = {"fusion_rejected": 0, "cross_block_redundant": 0,
           "fusion_applied": 0}
 for program in report["programs"]:
@@ -187,6 +191,7 @@ print("plan-report smoke: OK ({}: {} applied, {} rejected, {} cross-block)"
       .format(name, totals["fusion_applied"], totals["fusion_rejected"],
               totals["cross_block_redundant"]))
 EOF
+    done
   done
 else
   echo "plan-report smoke: python3 not found; skipping" >&2
