@@ -208,9 +208,10 @@ Status ComputationInstruction::Execute(ExecutionContext* ctx) const {
                      !out_items.empty() && any_matrix_input;
   // Static reuse planner (Sec. 4.4 at compile time): a must-compute verdict
   // proves the cache lookup costs more than recomputing, so the full probe
-  // (and its claim) is skipped. The value is still put and the partial
-  // path stays open: costlier downstream operations may build on it, and a
-  // partial rewrite's saving scales with the reused component, not with
+  // (and its claim) is skipped, and so is the put: no later lookup of the
+  // value would pay off, and under memory pressure re-putting it on every
+  // execution churns admission and eviction. The partial path stays open:
+  // a partial rewrite's saving scales with the reused component, not with
   // this instruction's recompute estimate.
   const bool skip_probe =
       reuse && probe_verdict_ == ProbeVerdict::kMustCompute;
@@ -302,7 +303,7 @@ Status ComputationInstruction::Execute(ExecutionContext* ctx) const {
 
   // Populate the cache. With full probing, only claimed keys are filled;
   // with partial-only mode, values are inserted directly.
-  if (reuse) {
+  if (reuse && !skip_probe) {
     for (size_t i = 0; i < outputs_.size(); ++i) {
       if (claimed[i]) {
         cache->Put(out_items[i], values[i], seconds);

@@ -16,8 +16,8 @@ namespace lima {
 ///                          recompute cost exceeds the probe overhead),
 ///   kMustCompute         — recomputing is provably cheaper than the cache
 ///                          lookup: the runtime skips the full probe,
-///                          counting RuntimeStats::probe_disabled_static
-///                          (the value is still put, and partial rewrites
+///                          counting RuntimeStats::probe_disabled_static,
+///                          and does not put the value (partial rewrites
 ///                          still apply — their saving scales with the
 ///                          reused component, not this op's recompute),
 ///   kRedundantInProgram  — another static instruction provably computes the

@@ -127,10 +127,12 @@ TEST(PartialRewriteTest, CellwiseOfTwoCbinds) {
 }
 
 TEST(PartialRewriteTest, ColAggOfCbind) {
+  // The reused aggregate must cost more than a cache probe: the planner
+  // neither probes nor caches a cheaper one (must-compute).
   for (const char* agg : {"colSums", "colMeans", "colMins", "colMaxs"}) {
     ExpectPartialReuse(std::string(R"(
-      X = rand(rows=30, cols=6, min=-1, max=1, seed=22);
-      D = rand(rows=30, cols=2, min=-1, max=1, seed=23);
+      X = rand(rows=300, cols=6, min=-1, max=1, seed=22);
+      D = rand(rows=300, cols=2, min=-1, max=1, seed=23);
       a = )") + agg + R"((X);
       b = )" + agg + R"((cbind(X, D));
       result = sum(a) + sum(b);
@@ -139,10 +141,11 @@ TEST(PartialRewriteTest, ColAggOfCbind) {
 }
 
 TEST(PartialRewriteTest, RowAggOfRbind) {
+  // As above: the reused aggregate costs more than a probe.
   for (const char* agg : {"rowSums", "rowMeans", "rowMins", "rowMaxs"}) {
     ExpectPartialReuse(std::string(R"(
-      X = rand(rows=25, cols=6, min=-1, max=1, seed=24);
-      D = rand(rows=10, cols=6, min=-1, max=1, seed=25);
+      X = rand(rows=250, cols=6, min=-1, max=1, seed=24);
+      D = rand(rows=100, cols=6, min=-1, max=1, seed=25);
       a = )") + agg + R"((X);
       b = )" + agg + R"((rbind(X, D));
       result = sum(a) + sum(b);
