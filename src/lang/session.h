@@ -62,6 +62,12 @@ class LimaSession {
   /// first; kStrict fails the run on verification errors.
   Status Run(const std::string& script);
 
+  /// Executes a compiled program, verified first as Run(script) does. A
+  /// program is immutable while it runs (all run state lives in the
+  /// session's context), so one program may run in any number of sessions
+  /// at once: lima_serve's plan cache hands each request a shared one.
+  Status Run(std::shared_ptr<const Program> program);
+
   /// Compiles `script` and runs the static verifier without executing it.
   /// Session-bound variables count as defined. Compile failures surface as
   /// an error status; verification findings live in the returned report.
@@ -151,9 +157,8 @@ class LimaSession {
   std::ostringstream output_;
   ExecutionContext context_;
   VerifyReport last_verify_report_;
-  /// Executed programs are kept alive: cached bundles may hold lineage that
-  /// references their dedup patches.
-  std::vector<std::unique_ptr<Program>> programs_;
+  /// Executed programs, for the plan and profile reports.
+  std::vector<std::shared_ptr<const Program>> programs_;
 };
 
 }  // namespace lima

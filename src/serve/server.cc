@@ -15,6 +15,7 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "lang/compiler.h"
 #include "lang/session.h"
 #include "persist/query.h"
 
@@ -249,6 +250,10 @@ LimaServer::Counters LimaServer::counters() const {
   c.shed = shed_.load(std::memory_order_relaxed);
   c.completed = completed_.load(std::memory_order_relaxed);
   c.failed = failed_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  c.plan_cache_hits = plan_hits_;
+  c.plan_cache_misses = plan_misses_;
+  c.plan_cache_entries = static_cast<int64_t>(plans_.size());
   return c;
 }
 
@@ -412,10 +417,13 @@ Message LimaServer::HandleRun(const Message& request) {
     // All cache traffic of this request — including parfor workers, which
     // inherit the tag — is charged to the tenant.
     LineageCache::TenantScope scope(shared_cache_.get(), tenant);
-    // A failure that escapes the interpreter as an exception fails this
-    // request only; the daemon keeps serving every tenant.
+    // A failure that escapes the compiler or the interpreter as an
+    // exception fails this request only; the daemon keeps serving every
+    // tenant.
     try {
-      status = session.Run(scripts::Builtins() + *script);
+      Result<std::shared_ptr<const Program>> program = CompiledPlan(*script);
+      status = program.ok() ? session.Run(*std::move(program))
+                            : program.status();
     } catch (const std::exception& e) {
       status = Status::RuntimeError(std::string("run: ") + e.what());
     }
@@ -447,6 +455,38 @@ Message LimaServer::HandleRun(const Message& request) {
   response.Set("function_reuse_hits",
                std::to_string(stats->function_reuse_hits.load()));
   return response;
+}
+
+Result<std::shared_ptr<const Program>> LimaServer::CompiledPlan(
+    const std::string& script) {
+  {
+    std::lock_guard<std::mutex> lock(plans_mu_);
+    auto it = plans_.find(script);
+    if (it != plans_.end()) {
+      it->second.last_used = ++plan_clock_;
+      ++plan_hits_;
+      return it->second.program;
+    }
+    ++plan_misses_;
+  }
+  // Compiled outside the lock: a miss never delays another script's hit.
+  LIMA_ASSIGN_OR_RETURN(
+      std::unique_ptr<Program> compiled,
+      CompileScript(scripts::Builtins() + script, options_.session_config));
+  std::shared_ptr<const Program> program = std::move(compiled);
+  std::shared_ptr<const Program> evicted;  // freed after the lock
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  auto [it, inserted] = plans_.try_emplace(script, Plan{program, 0});
+  it->second.last_used = ++plan_clock_;
+  if (inserted && plans_.size() > kPlanCacheCapacity) {
+    auto victim = plans_.begin();
+    for (auto p = plans_.begin(); p != plans_.end(); ++p) {
+      if (p->second.last_used < victim->second.last_used) victim = p;
+    }
+    evicted = std::move(victim->second.program);
+    plans_.erase(victim);
+  }
+  return program;
 }
 
 Message LimaServer::HandleQuery(const Message& request) {
@@ -482,6 +522,9 @@ Message LimaServer::HandleStats() {
   response.Set("shed", std::to_string(c.shed));
   response.Set("completed", std::to_string(c.completed));
   response.Set("failed", std::to_string(c.failed));
+  response.Set("plan_cache_hits", std::to_string(c.plan_cache_hits));
+  response.Set("plan_cache_misses", std::to_string(c.plan_cache_misses));
+  response.Set("plan_cache_entries", std::to_string(c.plan_cache_entries));
   if (!options_.store_dir.empty()) {
     response.Set("warm_start", warm_start_.warm ? "1" : "0");
     response.Set("warm_entries", std::to_string(warm_start_.entries));

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "common/status.h"
 #include "persist/snapshot.h"
 #include "reuse/lineage_cache.h"
+#include "runtime/program.h"
 #include "serve/protocol.h"
 
 namespace lima {
@@ -41,7 +43,8 @@ struct ServeOptions {
   int queue_capacity = 16;
 
   /// Session template for request execution (reuse mode, policy, cache
-  /// budget, shards, ...). Defaults to LimaConfig::Serving().
+  /// budget, shards, ...). Defaults to LimaConfig::Serving(). Fixed at
+  /// construction: the plan cache compiles every script with it.
   LimaConfig session_config = LimaConfig::Serving();
 
   /// Per-tenant cache byte budgets (LineageCache::SetTenantBudget); tenants
@@ -77,11 +80,16 @@ Result<ServeOptions> LoadServeOptionsFile(const std::string& path,
 /// over a Unix-domain socket and executes each "run" op on a fresh
 /// LimaSession attached to the shared lineage cache, inside a
 /// LineageCache::TenantScope so the cache charges bytes and hits to the
-/// requesting tenant. One request per connection (connect → request →
-/// response → close), which keeps admission control trivial: a connection
-/// IS a queue slot.
+/// requesting tenant. A script the server compiled recently runs its cached
+/// program (the plan cache). One request per connection (connect → request
+/// → response → close), which keeps admission control trivial: a
+/// connection IS a queue slot.
 class LimaServer {
  public:
+  /// Compiled programs the plan cache holds at most; the least recently
+  /// used one goes first.
+  static constexpr size_t kPlanCacheCapacity = 16;
+
   explicit LimaServer(ServeOptions options);
   ~LimaServer();
 
@@ -107,6 +115,9 @@ class LimaServer {
     int64_t shed = 0;       ///< connections answered "overloaded"
     int64_t completed = 0;  ///< requests answered "ok"
     int64_t failed = 0;     ///< requests answered "error"
+    int64_t plan_cache_hits = 0;     ///< run requests that reused a program
+    int64_t plan_cache_misses = 0;   ///< run requests that compiled
+    int64_t plan_cache_entries = 0;  ///< programs the plan cache holds
   };
   Counters counters() const;
 
@@ -137,6 +148,11 @@ class LimaServer {
   void ServeConnection(int fd);
   Message HandleRequest(const Message& request);
   Message HandleRun(const Message& request);
+  /// The program of `script` (prefixed with the DML builtins): the cached
+  /// one, or compiled now with options_.session_config and cached. A compile
+  /// error is returned and never cached.
+  Result<std::shared_ptr<const Program>> CompiledPlan(
+      const std::string& script);
   Message HandleStats();
   Message HandleQuery(const Message& request);
   /// Writes a cache snapshot into store_dir (no-op without one). Serialized
@@ -172,6 +188,30 @@ class LimaServer {
   std::atomic<int64_t> shed_{0};
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> failed_{0};
+
+  /// The plan cache: the compiled program of each recently served script,
+  /// keyed by the request's script text exactly as received (the map
+  /// compares full texts, so a hash collision cannot serve the wrong
+  /// program). The key omits the config and the files, which holds because:
+  /// - the compile config is options_.session_config, fixed for the life of
+  ///   the server (Reload does not replace it);
+  /// - a request's `workers` field sets only parfor_workers, which
+  ///   compilation never reads;
+  /// - a program may carry shapes taken from a read() file header at
+  ///   compile time; files are immutable (Sec. 3.4), the assumption that
+  ///   read() lineage and the lineage cache already make.
+  /// It is per server and not persisted: a warm restart compiles each
+  /// script once. Two workers that miss on one script both compile it, and
+  /// the first to insert wins. Guarded by plans_mu_.
+  struct Plan {
+    std::shared_ptr<const Program> program;
+    uint64_t last_used = 0;  ///< plan_clock_ at the latest hit or insert
+  };
+  mutable std::mutex plans_mu_;
+  std::unordered_map<std::string, Plan> plans_;
+  uint64_t plan_clock_ = 0;
+  int64_t plan_hits_ = 0;
+  int64_t plan_misses_ = 0;
 
   /// Persistence state (set at Start when options_.store_dir is non-empty).
   persist::WarmStartReport warm_start_;

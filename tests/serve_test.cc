@@ -4,13 +4,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "algorithms/scripts.h"
 #include "common/config.h"
 #include "gtest/gtest.h"
 #include "lang/session.h"
@@ -400,6 +403,192 @@ TEST(ServeTest, ConcurrentTenantsMatchLocalSession) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+  server.Stop();
+}
+
+// A script sent again runs the program compiled for its first request.
+TEST(ServeTest, PlanCacheCompilesARepeatedScriptOnce) {
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_repeat");
+  options.pool_size = 2;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kRequests = 5;
+  std::vector<std::string> outputs;
+  for (int i = 0; i < kRequests; ++i) {
+    Result<Message> run = RunScript(options.socket_path, "alice", kScript);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    outputs.push_back(run->Get("output"));
+  }
+  for (const std::string& output : outputs) EXPECT_EQ(output, outputs[0]);
+
+  Message stats;
+  stats.Set("op", "stats");
+  Result<Message> report = Call(options.socket_path, stats);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->Get("plan_cache_misses"), "1");
+  EXPECT_EQ(report->Get("plan_cache_hits"), std::to_string(kRequests - 1));
+  EXPECT_EQ(report->Get("plan_cache_entries"), "1");
+  server.Stop();
+}
+
+/// `text` with each lineage item id "(N)" renumbered in order of first
+/// appearance. Ids come from a process-wide counter, so two runs of one
+/// script print equal lineage under different ids.
+std::string RenumberLineageIds(const std::string& text) {
+  std::unordered_map<std::string, size_t> ids;
+  std::string out;
+  size_t i = 0;
+  while (i < text.size()) {
+    size_t end = i + 1;
+    while (end < text.size() && std::isdigit(static_cast<unsigned char>(
+                                    text[end]))) {
+      ++end;
+    }
+    if (text[i] == '(' && end > i + 1 && end < text.size() &&
+        text[end] == ')') {
+      auto it = ids.try_emplace(text.substr(i + 1, end - i - 1), ids.size())
+                    .first;
+      out += "(" + std::to_string(it->second) + ")";
+      i = end + 1;
+    } else {
+      out += text[i++];
+    }
+  }
+  return out;
+}
+
+// Concurrent requests run one shared program, each in its own session: the
+// output and the printed lineage (dedup patches included) are those of a
+// standalone session that compiled the script itself.
+TEST(ServeTest, SharedProgramMatchesStandaloneSession) {
+  const std::string script =
+      "X = rand(rows=24, cols=24, seed=11);\n"
+      "Y = X %*% t(X);\n"
+      "for (i in 1:3) { Y = Y + i * X; }\n"
+      "print(sum(Y));\n"
+      "print(lineage(Y));\n";
+  LimaSession reference(LimaConfig::Serving());
+  ASSERT_TRUE(reference.Run(scripts::Builtins() + script).ok());
+  const std::string expected = RenumberLineageIds(reference.ConsumeOutput());
+  ASSERT_NE(expected.find("dedup"), std::string::npos) << expected;
+
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_shared");
+  options.pool_size = 4;
+  options.queue_capacity = 64;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kRequests = 16;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kRequests; ++i) {
+    clients.emplace_back([&, i] {
+      Result<Message> response = RunScript(
+          options.socket_path, "tenant" + std::to_string(i % 4), script);
+      if (!response.ok() ||
+          RenumberLineageIds(response->Get("output")) != expected) {
+        mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const LimaServer::Counters counters = server.counters();
+  EXPECT_EQ(counters.plan_cache_hits + counters.plan_cache_misses, kRequests);
+  EXPECT_GE(counters.plan_cache_misses, 1);
+  EXPECT_LE(counters.plan_cache_misses, options.pool_size);
+  EXPECT_EQ(counters.plan_cache_entries, 1);
+  server.Stop();
+}
+
+// The plan cache holds at most kPlanCacheCapacity programs; a script whose
+// program was evicted compiles again and prints what it printed before.
+TEST(ServeTest, PlanCacheStaysWithinItsBound) {
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_bound");
+  options.pool_size = 1;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto script = [](int seed) {
+    return "X = rand(rows=6, cols=5, seed=" + std::to_string(seed) +
+           ");\nprint(sum(t(X) %*% X));\n";
+  };
+  constexpr int kScripts = 40;
+  std::vector<std::string> outputs;
+  for (int seed = 1; seed <= kScripts; ++seed) {
+    Result<Message> run = RunScript(options.socket_path, "alice", script(seed));
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    outputs.push_back(run->Get("output"));
+    EXPECT_LE(server.counters().plan_cache_entries,
+              static_cast<int64_t>(LimaServer::kPlanCacheCapacity));
+  }
+  EXPECT_EQ(server.counters().plan_cache_misses, kScripts);
+  EXPECT_EQ(server.counters().plan_cache_entries,
+            static_cast<int64_t>(LimaServer::kPlanCacheCapacity));
+
+  // The first script is the least recently used: evicted, so compiled again.
+  Result<Message> again = RunScript(options.socket_path, "bob", script(1));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->Get("output"), outputs[0]);
+  EXPECT_EQ(server.counters().plan_cache_misses, kScripts + 1);
+  EXPECT_EQ(server.counters().plan_cache_hits, 0);
+  // The most recent one is still cached.
+  ASSERT_TRUE(RunScript(options.socket_path, "bob", script(kScripts)).ok());
+  EXPECT_EQ(server.counters().plan_cache_hits, 1);
+  server.Stop();
+}
+
+// A script that does not compile fails its request each time and is never
+// cached.
+TEST(ServeTest, FailedCompileIsNeverCached) {
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_fail");
+  options.pool_size = 1;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(
+        RunScript(options.socket_path, "alice", "this is not DML;").ok());
+  }
+  const LimaServer::Counters counters = server.counters();
+  EXPECT_EQ(counters.plan_cache_misses, 3);
+  EXPECT_EQ(counters.plan_cache_hits, 0);
+  EXPECT_EQ(counters.plan_cache_entries, 0);
+  server.Stop();
+}
+
+// A request's workers field sets only the parfor worker count, which the
+// compiler never reads, so it runs the program compiled without it.
+TEST(ServeTest, WorkersFieldHitsTheCachedProgram) {
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_workers");
+  options.pool_size = 1;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string script =
+      "R = matrix(0, rows=4, cols=1);\n"
+      "parfor (i in 1:4) { R[i, 1] = sum(rand(rows=8, cols=8, seed=i)); }\n"
+      "print(sum(R));\n";
+  Result<Message> plain = RunScript(options.socket_path, "alice", script);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  Message request;
+  request.Set("op", "run");
+  request.Set("tenant", "alice");
+  request.Set("script", script);
+  request.Set("workers", "2");
+  Result<Message> with_workers = Call(options.socket_path, request);
+  ASSERT_TRUE(with_workers.ok()) << with_workers.status().ToString();
+  EXPECT_EQ(with_workers->Get("status"), "ok") << with_workers->Get("error");
+  EXPECT_EQ(with_workers->Get("output"), plain->Get("output"));
+  EXPECT_EQ(server.counters().plan_cache_misses, 1);
+  EXPECT_EQ(server.counters().plan_cache_hits, 1);
   server.Stop();
 }
 
