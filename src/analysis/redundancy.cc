@@ -77,6 +77,8 @@ struct Visit {
   /// datagen op; it warns when its joined cost is known and high enough.
   bool may_warn = false;
   Definition prior;
+  /// The instruction lies in a function body (it is visited by calls).
+  bool in_function = false;
 };
 
 /// Integral literal value, accepting integer-valued doubles (the compiler
@@ -188,7 +190,9 @@ class AnalysisEngine {
   explicit AnalysisEngine(const Program& program)
       : program_(program),
         shape_diags_(&shapes_.diagnostics),
-        redundancy_diags_(&redundancy_.diagnostics) {}
+        redundancy_diags_(&redundancy_.diagnostics) {
+    NoteWrittenPaths();
+  }
 
   ProgramAnalysis Run(const std::vector<ShapeAssumption>& assumptions) {
     FlowState state;
@@ -220,7 +224,7 @@ class AnalysisEngine {
       if (known) ++shapes_.num_fully_known;
     }
     FinalizePlan();
-    return {std::move(shapes_), std::move(redundancy_)};
+    return {std::move(shapes_), std::move(redundancy_), body_walks_};
   }
 
  private:
@@ -540,15 +544,41 @@ class AnalysisEngine {
   }
 
   /// The dimensions in the header of a literal matrix-file path, when the
-  /// file is readable at compile time.
-  static bool PeekFileShape(const std::vector<ShapeArg>& args,
-                            ShapeRuleResult* result) {
+  /// file is readable at compile time and the program writes no file that
+  /// could be it (the header read now need not be the one read() sees).
+  bool PeekFileShape(const std::vector<ShapeArg>& args,
+                     ShapeRuleResult* result) const {
     if (args.empty() || !args[0].has_text) return false;
+    if (writes_unknown_path_ || written_paths_.count(args[0].text) > 0) {
+      return false;
+    }
     Result<std::pair<int64_t, int64_t>> dims = PeekMatrixDims(args[0].text);
     if (!dims.ok()) return false;
     result->outputs = {ShapeInfo::Matrix(Dim::Const(dims->first),
                                          Dim::Const(dims->second))};
     return true;
+  }
+
+  /// Notes the path operand of every `write` in the program.
+  void NoteWrittenPaths() {
+    const OpcodeId write = InternOpcode("write");
+    auto note = [&](const BasicBlock& block) {
+      for (const auto& instr : block.instructions()) {
+        const auto* misc = dynamic_cast<const MiscInstruction*>(instr.get());
+        if (misc == nullptr || misc->opcode_id() != write) continue;
+        const Operand& path = misc->operands()[1];
+        if (path.is_literal && path.literal.is_string()) {
+          written_paths_.insert(path.literal.AsString());
+        } else {
+          writes_unknown_path_ = true;
+        }
+      }
+    };
+    WalkBlocks(program_.main(), Predicates::kVisit, note);
+    for (const auto& [name, fn] : program_.functions()) {
+      (void)name;
+      WalkBlocks(fn->body(), Predicates::kVisit, note);
+    }
   }
 
   /// A computation numbers its value and records its facts; a
@@ -627,6 +657,20 @@ class AnalysisEngine {
       BindOutputs(call, outputs, std::move(values), env);
       return;
     }
+    if (body_walks_ >= kMaxBodyWalks) {
+      shape_diags_.Report(Diagnostic::Severity::kWarning,
+                          "shape-unknown-degraded",
+                          "call to '" + call.function_name() +
+                              "' not analyzed: the budget of " +
+                              std::to_string(kMaxBodyWalks) +
+                              " function-body walks is spent; result "
+                              "shapes unknown",
+                          scope, loc, call.source_line());
+      walks_refused_ = true;
+      BindOutputs(call, outputs, std::move(values), env);
+      return;
+    }
+    ++body_walks_;
     // Bind arguments positionally; missing trailing args take defaults.
     FlowState callee;
     const std::vector<Function::Param>& params = fn->params();
@@ -768,6 +812,7 @@ class AnalysisEngine {
       row_instrs_.push_back(&comp);
     }
     visit.latest = fact;
+    visit.in_function = call_depth_ > 0;
     if (!visit.too_many_contexts) {
       visit.contexts[context_] = fact;
       if (visit.contexts.size() > kMaxContexts) {
@@ -782,10 +827,14 @@ class AnalysisEngine {
   // --- finalization ------------------------------------------------------
 
   /// A fact that the last pass of every call context computed alike; a
-  /// shape-derived field on which two contexts differ becomes unknown.
-  static InstrStaticFact JoinContexts(const Visit& visit) {
+  /// shape-derived field on which two contexts differ becomes unknown. With
+  /// `contexts_lost` (some call was not walked), a body instruction may have
+  /// contexts that were never visited, so its shape-derived fields are
+  /// unknown too.
+  static InstrStaticFact JoinContexts(const Visit& visit,
+                                      bool contexts_lost) {
     InstrStaticFact joined = visit.latest;
-    if (visit.too_many_contexts) {
+    if (visit.too_many_contexts || (contexts_lost && visit.in_function)) {
       joined.cost = CostEstimate();
       joined.scalar_output = false;
       joined.nonuniform = false;
@@ -819,7 +868,7 @@ class AnalysisEngine {
     for (size_t r = 0; r < plan.instrs.size(); ++r) {
       const Instruction* instr = row_instrs_[r];
       const Visit& visit = visits_.at(instr);
-      InstrStaticFact fact = JoinContexts(visit);
+      InstrStaticFact fact = JoinContexts(visit, walks_refused_);
       fact.occurrences = counts[fact.value_number];
 
       if (!fact.deterministic) {
@@ -882,10 +931,18 @@ class AnalysisEngine {
   DiagnosticSink redundancy_diags_;
   std::map<std::tuple<const Instruction*, int, int>, int32_t> syms_;
 
-  // Shape side: coverage, recursion guard and memory observation.
+  // Shape side: coverage, recursion guard, walk budget, written files and
+  // memory observation.
   std::unordered_map<const Instruction*, bool> known_;
   std::set<const Function*> active_;
   int call_depth_ = 0;
+  /// Callee-body walks so far; past kMaxBodyWalks calls are refused.
+  int64_t body_walks_ = 0;
+  bool walks_refused_ = false;
+  /// Literal paths of the program's writes, and whether a write's path is
+  /// not a literal (then it may write any file).
+  std::set<std::string> written_paths_;
+  bool writes_unknown_path_ = false;
   int64_t base_bytes_ = 0;
   int64_t peak_bytes_ = 0;
   int64_t block_peak_ = 0;

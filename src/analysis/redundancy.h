@@ -64,10 +64,17 @@ struct RedundancyAnalysis {
   }
 };
 
+/// Callee-body walks one analysis run makes at most. A call walks its
+/// callee's body once per call chain, so a call tree multiplies the walks
+/// exponentially with its depth; past the budget a call is not walked.
+constexpr int64_t kMaxBodyWalks = 4096;
+
 /// Shapes and value numbers of one program, computed together.
 struct ProgramAnalysis {
   ShapeAnalysis shapes;
   RedundancyAnalysis redundancy;
+  /// Callee-body walks the run made (at most kMaxBodyWalks).
+  int64_t body_walks = 0;
 };
 
 /// The compile-time analysis: one forward abstract interpretation over the
@@ -75,8 +82,9 @@ struct ProgramAnalysis {
 /// a value number and a shape.
 ///
 /// - Shapes follow the catalog's shape-transfer rules, with the header of a
-///   literal `read()` path when the file exists at compile time (the result
-///   is ShapeAnalysis; see InferShapes).
+///   literal `read()` path when the file exists at compile time and no
+///   `write` in the program may write it (the result is ShapeAnalysis; see
+///   InferShapes).
 /// - Value numbers are static lineage hashes over (opcode, operand value
 ///   numbers, literals): propagated through copies and across basic
 ///   blocks, invalidated at control merges (phi numbers per join site) and
@@ -87,7 +95,9 @@ struct ProgramAnalysis {
 ///   argument shapes bound to parameters of opaque value numbers, so the
 ///   body's value numbers do not depend on the call site. Functions that no
 ///   call reaches are not walked: their instructions get no plan rows and
-///   no facts.
+///   no facts. Past kMaxBodyWalks walks, a call is not walked: its outputs
+///   get unknown shapes (a `shape-unknown-degraded` warning), and every
+///   function-body instruction loses its shape-derived facts.
 /// - The FLOP+bytes cost model classifies each computation must-compute /
 ///   probe-worthwhile / redundant-in-program. A cost or other shape-derived
 ///   fact is known only when every call context's converged pass computed

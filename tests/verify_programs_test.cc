@@ -258,6 +258,10 @@ void ExpectVerifies(const std::string& label, const std::string& source) {
         CompileScript(scripts::Builtins() + source, config);
     ASSERT_TRUE(program.ok()) << label << ": " << program.status().ToString();
     AddAnalysisSections(c, **program, &sections);
+    // No shipped program may reach the analysis' walk budget, past which
+    // calls lose their shapes and bodies their costs.
+    EXPECT_LT(AnalyzeShapesAndValues(**program, {}).body_walks, kMaxBodyWalks)
+        << label;
     VerifyReport report = VerifyProgram(**program);
     EXPECT_EQ(report.num_errors, 0)
         << label << " (fusion=" << config.operator_fusion
