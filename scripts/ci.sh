@@ -238,6 +238,17 @@ grep -q "checksum: " "$BUILD_DIR/ci_serve_out.1" \
 grep "cross_tenant_hits" "$BUILD_DIR/ci_serve_stats.txt" \
   | grep -qv "=0$" \
   || { echo "serve smoke: no cross-tenant hits recorded" >&2; exit 1; }
+# The plan cache: one more sequential request of the same script runs the
+# program compiled for the concurrent ones, which is the only one cached.
+"$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call --tenant=odd \
+  "$BUILD_DIR/ci_serve_req.dml" > /dev/null 2>&1 \
+  || { echo "serve smoke: sequential request failed" >&2; exit 1; }
+"$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call --op=stats \
+  2> "$BUILD_DIR/ci_serve_plan.txt" \
+  || { echo "serve smoke: stats op failed" >&2; exit 1; }
+grep -Eq "^plan_cache_hits=[1-9]" "$BUILD_DIR/ci_serve_plan.txt" \
+  && grep -qx "plan_cache_entries=1" "$BUILD_DIR/ci_serve_plan.txt" \
+  || { echo "serve smoke: no plan-cache hit" >&2; exit 1; }
 # SIGHUP reloads the rewritten config file.
 printf 'pool_size 3\nqueue_capacity 32\n' > "$SERVE_CONFIG"
 kill -HUP "$SERVE_PID"
